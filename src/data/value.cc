@@ -150,7 +150,14 @@ std::string Tuple::ToString() const {
   std::vector<std::string> parts;
   parts.reserve(values.size());
   for (const Value& v : values) parts.push_back(v.ToString());
-  return "(" + Join(parts, ", ") + StrFormat(") @%.6f", event_time);
+  // Appended piecewise: `"(" + std::string&&` inserts at the front, which
+  // GCC 12 at -O3 misreports as an overlapping memcpy (-Werror=restrict).
+  const std::string body = Join(parts, ", ");
+  const std::string stamp = StrFormat(") @%.6f", event_time);
+  std::string out;
+  out.reserve(1 + body.size() + stamp.size());
+  out.append("(").append(body).append(stamp);
+  return out;
 }
 
 }  // namespace pdsp

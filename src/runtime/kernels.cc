@@ -242,8 +242,9 @@ Status Aggregate(const data::Batch& in, size_t begin, size_t end,
 void Partition(const data::Batch& in, size_t begin, size_t end,
                size_t key_field, int num_partitions,
                std::vector<data::SelectionVector>* parts) {
-  parts->clear();
+  // Buckets keep their storage across calls: only their rows are dropped.
   parts->resize(static_cast<size_t>(std::max(1, num_partitions)));
+  for (data::SelectionVector& part : *parts) part.clear();
   if (key_field >= in.NumColumns()) {
     // Keyless fallback: the scalar router hashes nothing and sends to 0.
     data::SelectionVector& p0 = (*parts)[0];
@@ -254,13 +255,18 @@ void Partition(const data::Batch& in, size_t begin, size_t end,
     return;
   }
   const auto p = static_cast<uint64_t>(std::max(1, num_partitions));
-  // Hash the whole column first (tight typed loop), then scatter row
+  // Hash a block of the column (tight typed loop), then scatter its row
   // indices — the selection vectors are the "radix buckets"; payload moves
-  // once, at gather time.
-  std::vector<uint64_t> hashes(end - begin);
-  HashColumn(in, begin, end, key_field, hashes.data());
-  for (size_t i = begin; i < end; ++i) {
-    (*parts)[hashes[i - begin] % p].push_back(static_cast<uint32_t>(i));
+  // once, at gather time. The block buffer lives on the stack, so the call
+  // allocates nothing once the buckets have grown.
+  constexpr size_t kBlock = 256;
+  uint64_t hashes[kBlock];
+  for (size_t b = begin; b < end; b += kBlock) {
+    const size_t e = std::min(end, b + kBlock);
+    HashColumn(in, b, e, key_field, hashes);
+    for (size_t i = b; i < e; ++i) {
+      (*parts)[hashes[i - b] % p].push_back(static_cast<uint32_t>(i));
+    }
   }
 }
 

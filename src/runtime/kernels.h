@@ -68,7 +68,9 @@ Status Aggregate(const data::Batch& in, size_t begin, size_t end,
 /// to destination d (row order preserved within each destination — the
 /// gather-once half of a radix partition). A `key_field` beyond the batch
 /// arity sends every row to destination 0 (the scalar router's fallback for
-/// keyless tuples). `parts` is resized and cleared by the call.
+/// keyless tuples). `parts` is resized to num_partitions and its buckets
+/// emptied by the call; surviving buckets keep their storage, so a caller
+/// that reuses one vector across calls stops allocating once it has grown.
 void Partition(const data::Batch& in, size_t begin, size_t end,
                size_t key_field, int num_partitions,
                std::vector<data::SelectionVector>* parts);

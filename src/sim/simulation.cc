@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <queue>
+#include <type_traits>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/string_util.h"
@@ -23,7 +26,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-enum class EventKind { kSourceBatch, kDelivery, kReady };
+enum class EventKind : uint8_t { kSourceBatch, kDelivery, kReady };
+
+/// Index of a batch in the engine's BatchPool; kNoBatch for none.
+constexpr uint32_t kNoBatch = std::numeric_limits<uint32_t>::max();
 
 struct Batch {
   /// Payload rows in columnar form (schema-specialized per sending edge).
@@ -32,26 +38,76 @@ struct Batch {
   /// Delivered over a chained forward channel: the receiver charges no
   /// framing overhead (same-thread call, as in Flink operator chains).
   bool chained = false;
-  /// Sender task (watermark channel identity); -1 for none.
-  int from_task = -1;
+  /// The sender's slot in the receiver's watermark table.
+  uint32_t wm_slot = 0;
   /// Event-time watermark of the sender when this batch left it. Applied at
   /// processing time (after all earlier batches on the same channel).
   double watermark = -kInf;
+  /// Free list (distinct output layout) this batch returns to.
+  uint32_t layout_id = 0;
 };
 
 struct Event {
   double time = 0.0;
   int64_t seq = 0;
-  EventKind kind = EventKind::kReady;
   int task = 0;
-  std::shared_ptr<Batch> batch;
+  EventKind kind = EventKind::kReady;
+  uint32_t batch = kNoBatch;
 };
+static_assert(std::is_trivially_copyable_v<Event>);
 
 struct EventLater {
   bool operator()(const Event& a, const Event& b) const {
     if (a.time != b.time) return a.time > b.time;
     return a.seq > b.seq;  // FIFO tie-break for determinism
   }
+};
+
+/// \brief Engine-owned batch storage addressed by index, so events, queues
+/// and planned deliveries carry a uint32_t instead of a shared pointer.
+/// Released batches go on one free list per distinct layout (not per
+/// operator: operators sharing a layout share storage). A released batch
+/// keeps its column storage only if it held at most kKeepStorageRows rows;
+/// larger ones drop it, so one saturated burst does not pin its peak
+/// footprint in every pooled batch.
+class BatchPool {
+ public:
+  static constexpr size_t kKeepStorageRows = 64;
+
+  explicit BatchPool(std::vector<data::BatchLayout> layouts = {})
+      : layouts_(std::move(layouts)), free_(layouts_.size()) {}
+
+  Batch& operator[](uint32_t id) { return batches_[id]; }
+
+  /// An empty batch of layout `layout_id`.
+  uint32_t Acquire(uint32_t layout_id) {
+    std::vector<uint32_t>& free = free_[layout_id];
+    if (!free.empty()) {
+      const uint32_t id = free.back();
+      free.pop_back();
+      return id;
+    }
+    Batch& b = batches_.emplace_back();
+    b.rows = data::Batch(layouts_[layout_id]);
+    b.layout_id = layout_id;
+    return static_cast<uint32_t>(batches_.size() - 1);
+  }
+
+  void Release(uint32_t id) {
+    Batch& b = batches_[id];
+    if (b.rows.NumRows() <= kKeepStorageRows) {
+      b.rows.Clear();
+    } else {
+      b.rows = data::Batch(layouts_[b.layout_id]);
+    }
+    free_[b.layout_id].push_back(id);
+  }
+
+ private:
+  std::vector<data::BatchLayout> layouts_;
+  // A deque: growing it never moves a live batch.
+  std::deque<Batch> batches_;
+  std::vector<std::vector<uint32_t>> free_;  // per layout id
 };
 
 // Simulator internals for one run.
@@ -71,15 +127,19 @@ class Engine {
  private:
   struct TaskState {
     std::unique_ptr<OperatorInstance> instance;  // null for sources
-    std::deque<std::shared_ptr<Batch>> queue;
+    std::deque<uint32_t> queue;                  // BatchPool ids
     size_t queued_tuples = 0;
     double busy_until = 0.0;
-    // Event-time watermarks: per-upstream-task watermark, the min over them
-    // (this task's input watermark, which gates window firing), and when we
-    // last broadcast our own watermark downstream.
-    std::map<int, double> channel_wm;
+    // Event-time watermarks: one slot per upstream task (see WmRoute), the
+    // min over them (this task's input watermark, which gates window
+    // firing), how many slots sit at that min, and when we last broadcast
+    // our own watermark downstream.
+    std::vector<double> channel_wm;
     double input_wm = -kInf;
+    size_t channels_at_min = 0;
     double last_wm_broadcast = -kInf;
+    // Service-rate divisor: node speed times core contention.
+    double speed = 1.0;
     // Per-outgoing-channel-group round-robin cursors (rebalance).
     std::vector<size_t> rr_cursor;
     // Source-only state.
@@ -97,13 +157,24 @@ class Engine {
   struct PlannedDelivery {
     double delay = 0.0;  // relative to sender completion
     int dest_task = 0;
-    std::shared_ptr<Batch> batch;
+    uint32_t batch = kNoBatch;
+  };
+
+  /// Where a sender on one outgoing channel group writes in the receiver's
+  /// watermark table. A receiver holds one block of slots per input edge,
+  /// and a plan has at most one edge per operator pair, so each upstream
+  /// task owns exactly one slot. `base` is the block's first slot; a block
+  /// holds one slot per upstream instance (`wide`), or, on a forward edge,
+  /// only the slot of the receiver's own partner.
+  struct WmRoute {
+    uint32_t base = 0;
+    bool wide = false;
   };
 
   Status SetUpTasks();
-  void Push(double time, EventKind kind, int task,
-            std::shared_ptr<Batch> batch = nullptr);
-  double TaskSpeed(int task) const;
+  /// Builds the per-receiver watermark tables and the senders' WmRoutes.
+  void SetUpWatermarkChannels();
+  void Push(double time, EventKind kind, int task, uint32_t batch = kNoBatch);
 
   /// Appends one time-series row per task at virtual time `t` (rates and
   /// utilization over the elapsed time since the previous sample — the last
@@ -129,17 +200,19 @@ class Engine {
   /// scalar per-element router exactly. Every sub-batch carries
   /// `sender_wm`; when `broadcast_wm` is set, destinations that received no
   /// data still get a watermark-only batch (Flink's periodic watermark
-  /// emission).
+  /// emission). Deliveries go to `deliveries_` in ascending destination
+  /// order per group.
   void RouteOutputs(int task, const data::Batch& outputs, double sender_wm,
-                    bool broadcast_wm, double* cost,
-                    std::vector<PlannedDelivery>* deliveries);
+                    bool broadcast_wm, double* cost);
 
-  /// Applies a processed batch's watermark to its channel and recomputes the
-  /// task's input watermark.
+  /// Applies a processed batch's watermark to its channel and keeps the
+  /// task's input watermark equal to the min over its channels.
   void ApplyWatermark(TaskState* state, const Batch& batch);
-  void DispatchDeliveries(int task, double completion,
-                          std::vector<PlannedDelivery>* deliveries);
+  /// Turns `deliveries_` into delivery events and clears it.
+  void DispatchDeliveries(double completion);
   void EmitSourceBatch(int task, double now);
+  /// The reusable output batch for `op`'s layout, emptied.
+  data::Batch& OutputScratch(LogicalPlan::OpId op);
 
   // --- latency attribution -----------------------------------------------
   // Every virtual-time interval an element lives through is charged to
@@ -154,12 +227,11 @@ class Engine {
   /// Advances each outgoing element's cursor to `completion`, charging the
   /// gap to source-batching (sources) or service (operators).
   void ChargeDispatch(LogicalPlan::OpId op, double completion,
-                      bool is_source,
-                      std::vector<PlannedDelivery>* deliveries);
+                      bool is_source);
   /// Charges `now - cursor` to network transit for a just-delivered batch.
-  void ChargeNetwork(LogicalPlan::OpId op, double now, Batch* batch);
+  void ChargeNetwork(LogicalPlan::OpId op, double now, const Batch& batch);
   /// Charges `now - cursor` to queue wait for a just-dequeued batch.
-  void ChargeQueueWait(LogicalPlan::OpId op, double now, Batch* batch);
+  void ChargeQueueWait(LogicalPlan::OpId op, double now, const Batch& batch);
   /// Charges window/join-state residency for outputs whose cursor predates
   /// `now` (they emerged from operator state rather than this batch).
   void ChargeWindowResidency(LogicalPlan::OpId op, double now,
@@ -179,12 +251,24 @@ class Engine {
   int64_t seq_ = 0;
   std::vector<TaskState> tasks_;
   std::vector<std::vector<ChannelGroup>> out_channels_;  // per op
-  // Columnar layout each operator's output batches use, indexed by op id.
-  std::vector<data::BatchLayout> out_layouts_;
-  // Routing scratch (per-destination row selections), reused across firings.
+  std::vector<std::vector<WmRoute>> out_wm_;  // per op, parallel to groups
+  // Distinct output layout of each operator, indexed by op id (ids index
+  // the pool's free lists and out_scratch_).
+  std::vector<uint32_t> op_layout_id_;
+  BatchPool pool_;
+  // Per-firing scratch, reused across firings: one output batch per
+  // layout, the planned deliveries, fired timer elements, per-destination
+  // row selections, and each destination's sub-batch in the group being
+  // routed (kNoBatch when untouched) with the list of touched destinations.
+  std::vector<data::Batch> out_scratch_;
+  std::vector<PlannedDelivery> deliveries_;
+  std::vector<StreamElement> fired_;
   std::vector<data::SelectionVector> parts_;
+  std::vector<uint32_t> dest_batch_;
+  std::vector<int> touched_;
   int64_t pending_tuples_ = 0;
   int64_t events_processed_ = 0;
+  SimEventCounts event_counts_;
   Status run_error_ = Status::OK();
   SimResult result_;
   // Observability. Counter handles are cached so hot-path updates are one
@@ -236,7 +320,24 @@ Status Engine::SetUpTasks() {
   for (size_t op = 0; op < plan_.logical().NumOperators(); ++op) {
     out_channels_[op] = plan_.ChannelsFrom(static_cast<LogicalPlan::OpId>(op));
   }
-  PDSP_ASSIGN_OR_RETURN(out_layouts_, DeriveBatchLayouts(plan_.logical()));
+  PDSP_ASSIGN_OR_RETURN(std::vector<data::BatchLayout> out_layouts,
+                        DeriveBatchLayouts(plan_.logical()));
+  std::vector<data::BatchLayout> layouts;
+  op_layout_id_.resize(out_layouts.size());
+  int max_parallelism = 1;
+  for (size_t op = 0; op < out_layouts.size(); ++op) {
+    const auto it = std::find(layouts.begin(), layouts.end(), out_layouts[op]);
+    op_layout_id_[op] = static_cast<uint32_t>(it - layouts.begin());
+    if (it == layouts.end()) layouts.push_back(out_layouts[op]);
+    max_parallelism =
+        std::max(max_parallelism,
+                 plan_.ParallelismOf(static_cast<LogicalPlan::OpId>(op)));
+  }
+  for (const data::BatchLayout& layout : layouts) {
+    out_scratch_.emplace_back(layout);
+  }
+  pool_ = BatchPool(std::move(layouts));
+  dest_batch_.assign(static_cast<size_t>(max_parallelism), kNoBatch);
   Rng master(options_.seed);
   for (size_t t = 0; t < plan_.NumTasks(); ++t) {
     const PhysicalTask& pt = plan_.task(static_cast<int>(t));
@@ -244,6 +345,12 @@ Status Engine::SetUpTasks() {
     TaskState& state = tasks_[t];
     state.rr_cursor.assign(out_channels_[pt.op].size(), 0);
     state.rng = master.Fork(t + 1);
+    const int node_id = placement_.node_of_task[t];
+    const double contention =
+        std::min(1.0, static_cast<double>(cluster_.node(node_id).spec.cores) /
+                          std::max(1, placement_.tasks_per_node[node_id]));
+    state.speed =
+        std::max(1e-6, cluster_.node(node_id).effective_speed * contention);
     if (op.type == OperatorType::kSource) {
       const SourceBinding& binding =
           plan_.logical().sources()[op.source_index];
@@ -277,57 +384,69 @@ Status Engine::SetUpTasks() {
                     pt.instance));
     }
   }
-  // Watermark channels: every task knows all upstream tasks so the input
-  // watermark is the min over the full channel set from the start.
-  for (const ChannelGroup& g : plan_.channels()) {
-    const int p_from = plan_.ParallelismOf(g.from_op);
-    const int p_to = plan_.ParallelismOf(g.to_op);
-    for (int d = 0; d < p_to; ++d) {
-      TaskState& dest = tasks_[plan_.TaskId(g.to_op, d)];
-      if (g.mode == Partitioning::kForward) {
-        dest.channel_wm[plan_.TaskId(g.from_op, d)] = -kInf;
-      } else {
-        for (int u = 0; u < p_from; ++u) {
-          dest.channel_wm[plan_.TaskId(g.from_op, u)] = -kInf;
-        }
-      }
-    }
-  }
+  SetUpWatermarkChannels();
   return Status::OK();
 }
 
-void Engine::Push(double time, EventKind kind, int task,
-                  std::shared_ptr<Batch> batch) {
+void Engine::SetUpWatermarkChannels() {
+  // Every task knows all upstream tasks so the input watermark is the min
+  // over the full channel set from the start.
+  const size_t num_ops = plan_.logical().NumOperators();
+  std::vector<uint32_t> num_slots(num_ops, 0);  // per receiving op
+  out_wm_.resize(num_ops);
+  for (size_t op = 0; op < num_ops; ++op) {
+    for (const ChannelGroup& g : out_channels_[op]) {
+      const bool wide = g.mode != Partitioning::kForward;
+      out_wm_[op].push_back({num_slots[g.to_op], wide});
+      num_slots[g.to_op] +=
+          wide ? static_cast<uint32_t>(plan_.ParallelismOf(g.from_op)) : 1;
+    }
+  }
+  for (size_t t = 0; t < tasks_.size(); ++t) {
+    TaskState& state = tasks_[t];
+    if (state.instance == nullptr) continue;  // sources own their watermark
+    state.channel_wm.assign(num_slots[plan_.task(static_cast<int>(t)).op],
+                            -kInf);
+    state.channels_at_min = state.channel_wm.size();
+  }
+}
+
+void Engine::Push(double time, EventKind kind, int task, uint32_t batch) {
   Event e;
   e.time = time;
   e.seq = seq_++;
   e.kind = kind;
   e.task = task;
-  e.batch = std::move(batch);
-  heap_.push(std::move(e));
-}
-
-double Engine::TaskSpeed(int task) const {
-  const int node_id = placement_.node_of_task[task];
-  const Node& node = cluster_.node(node_id);
-  const int colocated = placement_.tasks_per_node[node_id];
-  const double contention =
-      std::min(1.0, static_cast<double>(node.spec.cores) /
-                        std::max(1, colocated));
-  return std::max(1e-6, node.effective_speed * contention);
+  e.batch = batch;
+  heap_.push(e);
 }
 
 void Engine::ApplyWatermark(TaskState* state, const Batch& batch) {
-  if (batch.from_task < 0) return;
-  auto it = state->channel_wm.find(batch.from_task);
-  if (it == state->channel_wm.end()) return;
-  if (batch.watermark <= it->second) return;
-  it->second = batch.watermark;
+  double& wm = state->channel_wm[batch.wm_slot];
+  if (batch.watermark <= wm) return;
+  // input_wm is the min over the channels, so only advancing the last
+  // channel still at the min can raise it; then rescan.
+  const bool was_at_min = wm == state->input_wm;
+  wm = batch.watermark;
+  if (!was_at_min || --state->channels_at_min > 0) return;
   double min_wm = kInf;
-  for (const auto& [from, wm] : state->channel_wm) {
-    min_wm = std::min(min_wm, wm);
+  size_t at_min = 0;
+  for (const double w : state->channel_wm) {
+    if (w < min_wm) {
+      min_wm = w;
+      at_min = 1;
+    } else if (w == min_wm) {
+      ++at_min;
+    }
   }
   state->input_wm = min_wm;
+  state->channels_at_min = at_min;
+}
+
+data::Batch& Engine::OutputScratch(LogicalPlan::OpId op) {
+  data::Batch& outputs = out_scratch_[op_layout_id_[op]];
+  outputs.Clear();
+  return outputs;
 }
 
 void Engine::SampleTimeSeries(double t) {
@@ -385,27 +504,27 @@ void Engine::TraceFiring(int task, double start, double duration,
 }
 
 void Engine::RouteOutputs(int task, const data::Batch& outputs,
-                          double sender_wm, bool broadcast_wm, double* cost,
-                          std::vector<PlannedDelivery>* deliveries) {
+                          double sender_wm, bool broadcast_wm, double* cost) {
   const size_t n = outputs.NumRows();
   if (n == 0 && !broadcast_wm) return;
   TaskState& state = tasks_[task];
   const PhysicalTask& pt = plan_.task(task);
   const auto& groups = out_channels_[pt.op];
   const int src_node = placement_.node_of_task[task];
+  const uint32_t layout_id = op_layout_id_[pt.op];
 
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     const ChannelGroup& g = groups[gi];
     const int p_dest = plan_.ParallelismOf(g.to_op);
     const size_t key_field = plan_.PartitionKeyField(g.to_op, g.input_port);
-    std::vector<std::shared_ptr<Batch>> sub(p_dest);
     auto sub_batch = [&](int d) -> Batch& {
-      if (!sub[d]) {
-        sub[d] = std::make_shared<Batch>();
-        sub[d]->rows = data::Batch(outputs.layout());
-        sub[d]->input_port = g.input_port;
+      uint32_t& id = dest_batch_[d];
+      if (id == kNoBatch) {
+        id = pool_.Acquire(layout_id);
+        pool_[id].input_port = g.input_port;
+        touched_.push_back(d);
       }
-      return *sub[d];
+      return pool_[id];
     };
     if (n > 0) {
       switch (g.mode) {
@@ -415,14 +534,17 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
         case Partitioning::kRebalance: {
           // Row i goes to (cursor + i) % p — the scalar router's
           // per-element round robin, batched.
-          parts_.clear();
-          parts_.resize(static_cast<size_t>(p_dest));
           const size_t cursor = state.rr_cursor[gi];
+          state.rr_cursor[gi] += n;
+          // Buckets keep their storage across calls (never shrunk here).
+          if (parts_.size() < static_cast<size_t>(p_dest)) {
+            parts_.resize(static_cast<size_t>(p_dest));
+          }
+          for (int d = 0; d < p_dest; ++d) parts_[d].clear();
           for (size_t i = 0; i < n; ++i) {
             parts_[(cursor + i) % static_cast<size_t>(p_dest)].push_back(
                 static_cast<uint32_t>(i));
           }
-          state.rr_cursor[gi] += n;
           for (int d = 0; d < p_dest; ++d) {
             if (parts_[d].empty()) continue;
             sub_batch(d).rows.AppendGather(outputs, parts_[d]);
@@ -456,21 +578,29 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
         if (g.mode == Partitioning::kForward && d != pt.instance) continue;
         sub_batch(d);
       }
+      // Data destinations were touched first; restore ascending order.
+      std::sort(touched_.begin(), touched_.end());
     }
     const bool chained =
         g.mode == Partitioning::kForward && costs_.chain_forward_channels;
-    for (int d = 0; d < p_dest; ++d) {
-      if (!sub[d]) continue;
-      sub[d]->from_task = task;
-      sub[d]->watermark = sender_wm;
-      sub[d]->chained = chained;
-      const size_t sub_rows = sub[d]->rows.NumRows();
+    const WmRoute wm_route = out_wm_[pt.op][gi];
+    const uint32_t wm_slot =
+        wm_route.base +
+        (wm_route.wide ? static_cast<uint32_t>(pt.instance) : 0u);
+    for (const int d : touched_) {
+      const uint32_t id = dest_batch_[d];
+      dest_batch_[d] = kNoBatch;
+      Batch& sub = pool_[id];
+      sub.wm_slot = wm_slot;
+      sub.watermark = sender_wm;
+      sub.chained = chained;
+      const size_t sub_rows = sub.rows.NumRows();
       const int dest_task = plan_.TaskId(g.to_op, d);
       const int dest_node = placement_.node_of_task[dest_task];
+      state.tuples_out += static_cast<int64_t>(sub_rows);
       if (chained && dest_node == src_node) {
         // Same thread: no send cost, immediate delivery.
-        state.tuples_out += static_cast<int64_t>(sub_rows);
-        deliveries->push_back({0.0, dest_task, std::move(sub[d])});
+        deliveries_.push_back({0.0, dest_task, id});
         continue;
       }
       *cost += costs_.subbatch_send_overhead;
@@ -478,28 +608,25 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
       if (dest_node == src_node) {
         delay = costs_.local_handoff_latency;
       } else {
-        const size_t bytes = sub[d]->rows.WireSize(0, sub_rows);
+        const size_t bytes = sub.rows.WireSize(0, sub_rows);
         *cost += static_cast<double>(bytes) *
                  costs_.serialization_cost_per_byte;
         delay = cluster_.LinkLatencySeconds(src_node, dest_node) +
                 static_cast<double>(bytes) /
                     cluster_.LinkBandwidthBytesPerSec(src_node, dest_node);
       }
-      state.tuples_out += static_cast<int64_t>(sub_rows);
-      deliveries->push_back({delay, dest_task, std::move(sub[d])});
+      deliveries_.push_back({delay, dest_task, id});
     }
+    touched_.clear();
   }
 }
 
-void Engine::DispatchDeliveries(int task, double completion,
-                                std::vector<PlannedDelivery>* deliveries) {
-  (void)task;
-  for (PlannedDelivery& d : *deliveries) {
-    pending_tuples_ += static_cast<int64_t>(d.batch->rows.NumRows());
-    Push(completion + d.delay, EventKind::kDelivery, d.dest_task,
-         std::move(d.batch));
+void Engine::DispatchDeliveries(double completion) {
+  for (const PlannedDelivery& d : deliveries_) {
+    pending_tuples_ += static_cast<int64_t>(pool_[d.batch].rows.NumRows());
+    Push(completion + d.delay, EventKind::kDelivery, d.dest_task, d.batch);
   }
-  deliveries->clear();
+  deliveries_.clear();
   // Source backpressure caps generation, but mid-pipeline amplification
   // (join cascades) can still outrun it; fail cleanly before memory does.
   if (pending_tuples_ > 4 * options_.max_in_flight_tuples &&
@@ -519,11 +646,10 @@ uint32_t Engine::NewAttr(double birth) {
 }
 
 void Engine::ChargeDispatch(LogicalPlan::OpId op, double completion,
-                            bool is_source,
-                            std::vector<PlannedDelivery>* deliveries) {
+                            bool is_source) {
   OperatorLatencyStats& acc = op_latency_[op];
-  for (PlannedDelivery& d : *deliveries) {
-    for (uint32_t attr : d.batch->rows.attr_ids()) {
+  for (const PlannedDelivery& d : deliveries_) {
+    for (uint32_t attr : pool_[d.batch].rows.attr_ids()) {
       if (attr == kNoAttr) continue;
       LatencyAttr& a = attr_pool_[attr];
       const double delta = completion - a.accounted_until;
@@ -541,9 +667,10 @@ void Engine::ChargeDispatch(LogicalPlan::OpId op, double completion,
   }
 }
 
-void Engine::ChargeNetwork(LogicalPlan::OpId op, double now, Batch* batch) {
+void Engine::ChargeNetwork(LogicalPlan::OpId op, double now,
+                           const Batch& batch) {
   OperatorLatencyStats& acc = op_latency_[op];
-  for (uint32_t attr : batch->rows.attr_ids()) {
+  for (uint32_t attr : batch.rows.attr_ids()) {
     if (attr == kNoAttr) continue;
     LatencyAttr& a = attr_pool_[attr];
     const double delta = now - a.accounted_until;
@@ -554,9 +681,10 @@ void Engine::ChargeNetwork(LogicalPlan::OpId op, double now, Batch* batch) {
   }
 }
 
-void Engine::ChargeQueueWait(LogicalPlan::OpId op, double now, Batch* batch) {
+void Engine::ChargeQueueWait(LogicalPlan::OpId op, double now,
+                             const Batch& batch) {
   OperatorLatencyStats& acc = op_latency_[op];
-  for (uint32_t attr : batch->rows.attr_ids()) {
+  for (uint32_t attr : batch.rows.attr_ids()) {
     if (attr == kNoAttr) continue;
     LatencyAttr& a = attr_pool_[attr];
     const double delta = now - a.accounted_until;
@@ -604,7 +732,7 @@ void Engine::EmitSourceBatch(int task, double now) {
     ctr_bp_skipped_->Add(n);
     n = 0;
   }
-  data::Batch outputs(out_layouts_[pt.op]);
+  data::Batch& outputs = OutputScratch(pt.op);
   outputs.Reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     const double t_event =
@@ -632,10 +760,8 @@ void Engine::EmitSourceBatch(int task, double now) {
       last_batch ||
       now + dt - state.last_wm_broadcast >= options_.watermark_interval_s;
   if (broadcast_wm) state.last_wm_broadcast = now + dt;
-  std::vector<PlannedDelivery> deliveries;
-  RouteOutputs(task, outputs, state.input_wm, broadcast_wm, &cost,
-               &deliveries);
-  const double service = cost / TaskSpeed(task);
+  RouteOutputs(task, outputs, state.input_wm, broadcast_wm, &cost);
+  const double service = cost / state.speed;
   // The batch becomes visible downstream when the source finishes producing
   // it; a source that cannot keep up (busy_until > now+dt) lags behind.
   const double completion = std::max(now + dt, state.busy_until) + service;
@@ -647,10 +773,8 @@ void Engine::EmitSourceBatch(int task, double now) {
   }
   // Everything between birth and the batch shipping out — interval fill,
   // source lag and the source's own service — is source-batching time.
-  if (attribute_) {
-    ChargeDispatch(pt.op, completion, /*is_source=*/true, &deliveries);
-  }
-  DispatchDeliveries(task, completion, &deliveries);
+  if (attribute_) ChargeDispatch(pt.op, completion, /*is_source=*/true);
+  DispatchDeliveries(completion);
 
   const double next = now + dt;
   if (next < options_.duration_s) {
@@ -665,7 +789,7 @@ Status Engine::ProcessOne(int task, double now) {
   obs::prof::ProfScope op_scope(obs::prof::FrameKind::kOperator,
                                 OpMarkerId(pt.op));
 
-  data::Batch outputs(out_layouts_[pt.op]);
+  data::Batch& outputs = OutputScratch(pt.op);
   double cost = 0.0;
   bool timer_fire = false;
   size_t in_tuples = 0;
@@ -678,27 +802,28 @@ Status Engine::ProcessOne(int task, double now) {
     timer_fire = true;
     obs::prof::ProfScope kernel_scope(obs::prof::FrameKind::kKernel,
                                       kernel_fire_id_);
-    std::vector<StreamElement> fired;
-    state.instance->OnTimer(state.input_wm, &fired);
-    for (const StreamElement& e : fired) {
+    fired_.clear();
+    state.instance->OnTimer(state.input_wm, &fired_);
+    for (const StreamElement& e : fired_) {
       outputs.AppendTuple(e.tuple, e.birth, e.attr_id);
     }
     cost = costs_.BatchCost(op);
   } else {
     obs::prof::ProfScope kernel_scope(obs::prof::FrameKind::kKernel,
                                       kernel_process_id_);
-    std::shared_ptr<Batch> batch = state.queue.front();
+    const uint32_t id = state.queue.front();
     state.queue.pop_front();
-    const size_t rows = batch->rows.NumRows();
+    const Batch& batch = pool_[id];
+    const size_t rows = batch.rows.NumRows();
     in_tuples = rows;
     state.queued_tuples -= rows;
     pending_tuples_ -= static_cast<int64_t>(rows);
     state.tuples_in += static_cast<int64_t>(rows);
-    if (attribute_) ChargeQueueWait(pt.op, now, batch.get());
+    if (attribute_) ChargeQueueWait(pt.op, now, batch);
     if (rows == 0) {
       cost = costs_.wm_batch_cost;
     } else {
-      cost = (batch->chained ? 0.0 : costs_.BatchCost(op)) +
+      cost = (batch.chained ? 0.0 : costs_.BatchCost(op)) +
              static_cast<double>(rows) * costs_.InputTupleCost(op);
       ctr_data_batches_->Add(1);
       ctr_data_rows_->Add(static_cast<int64_t>(rows));
@@ -710,10 +835,11 @@ Status Engine::ProcessOne(int task, double now) {
         static_cast<size_t>(std::max<int64_t>(1, options_.batch_rows));
     for (size_t begin = 0; begin < rows; begin += chunk) {
       PDSP_RETURN_NOT_OK(state.instance->ProcessBatch(
-          batch->rows, begin, std::min(rows, begin + chunk),
-          batch->input_port, now, &outputs));
+          batch.rows, begin, std::min(rows, begin + chunk), batch.input_port,
+          now, &outputs));
     }
-    ApplyWatermark(&state, *batch);
+    ApplyWatermark(&state, batch);
+    pool_.Release(id);
   }
   if (outputs.promotions() > 0) {
     ctr_data_promotions_->Add(static_cast<int64_t>(outputs.promotions()));
@@ -726,7 +852,7 @@ Status Engine::ProcessOne(int task, double now) {
   if (attribute_) ChargeWindowResidency(pt.op, now, outputs);
 
   if (op.type == OperatorType::kSink) {
-    const double completion = now + cost / TaskSpeed(task);
+    const double completion = now + cost / state.speed;
     OperatorLatencyStats& acc = op_latency_[pt.op];
     for (size_t r = 0; r < outputs.NumRows(); ++r) {
       const uint32_t attr = outputs.attr_id(r);
@@ -763,17 +889,14 @@ Status Engine::ProcessOne(int task, double now) {
         state.input_wm - state.last_wm_broadcast >=
         options_.watermark_interval_s;
     if (broadcast_wm) state.last_wm_broadcast = state.input_wm;
-    std::vector<PlannedDelivery> deliveries;
-    RouteOutputs(task, outputs, state.input_wm, broadcast_wm, &cost,
-                 &deliveries);
-    const double service = cost / TaskSpeed(task);
+    RouteOutputs(task, outputs, state.input_wm, broadcast_wm, &cost);
+    const double service = cost / state.speed;
     state.busy_until = now + service;
     state.busy_time += service;
     if (attribute_) {
-      ChargeDispatch(pt.op, state.busy_until, /*is_source=*/false,
-                     &deliveries);
+      ChargeDispatch(pt.op, state.busy_until, /*is_source=*/false);
     }
-    DispatchDeliveries(task, state.busy_until, &deliveries);
+    DispatchDeliveries(state.busy_until);
   }
 
   if (trace_verbose_) {
@@ -859,19 +982,23 @@ Result<SimResult> Engine::Run() {
       TaskState& state = tasks_[e.task];
       switch (e.kind) {
         case EventKind::kSourceBatch:
+          ++event_counts_.source_batch;
           EmitSourceBatch(e.task, e.time);
           break;
-        case EventKind::kDelivery:
-          if (attribute_) {
-            ChargeNetwork(plan_.task(e.task).op, e.time, e.batch.get());
-          }
+        case EventKind::kDelivery: {
+          const Batch& batch = pool_[e.batch];
+          const size_t rows = batch.rows.NumRows();
+          ++(rows == 0 ? event_counts_.wm_delivery : event_counts_.delivery);
+          if (attribute_) ChargeNetwork(plan_.task(e.task).op, e.time, batch);
           state.queue.push_back(e.batch);
-          state.queued_tuples += e.batch->rows.NumRows();
+          state.queued_tuples += rows;
           state.max_queue_tuples =
               std::max(state.max_queue_tuples, state.queued_tuples);
           MaybeStart(e.task, e.time);
           break;
+        }
         case EventKind::kReady:
+          ++event_counts_.ready;
           MaybeStart(e.task, e.time);
           break;
       }
@@ -895,6 +1022,7 @@ Result<SimResult> Engine::Run() {
   // Aggregate per-operator statistics.
   obs::Span agg_span(options_.tracer, "aggregate", "sim");
   result_.events_processed = events_processed_;
+  result_.event_counts = event_counts_;
   const double horizon =
       std::max(options_.duration_s, result_.virtual_time_end);
   for (size_t op = 0; op < plan_.logical().NumOperators(); ++op) {
@@ -952,6 +1080,12 @@ Result<SimResult> Engine::Run() {
   obs::MetricsRegistry& reg = *result_.metrics;
   reg.GetCounter("pdsp.sim.late_drops")->Add(result_.late_drops);
   reg.GetCounter("pdsp.sim.events_processed")->Add(events_processed_);
+  reg.GetCounter("pdsp.sim.events.source_batch")
+      ->Add(event_counts_.source_batch);
+  reg.GetCounter("pdsp.sim.events.delivery")->Add(event_counts_.delivery);
+  reg.GetCounter("pdsp.sim.events.wm_delivery")
+      ->Add(event_counts_.wm_delivery);
+  reg.GetCounter("pdsp.sim.events.ready")->Add(event_counts_.ready);
   reg.GetGauge("pdsp.sim.throughput_tps")->Set(result_.throughput_tps);
   reg.GetGauge("pdsp.sim.virtual_time_end_s")->Set(result_.virtual_time_end);
   reg.GetGauge("pdsp.sim.median_latency_s")->Set(result_.median_latency_s);

@@ -154,6 +154,15 @@ struct LatencyBreakdown {
   bool empty() const { return samples == 0; }
 };
 
+/// \brief Processed events by kind; the four counts sum to
+/// SimResult::events_processed.
+struct SimEventCounts {
+  int64_t source_batch = 0;  ///< a source emitting one interval's batch
+  int64_t delivery = 0;      ///< a sub-batch with rows reaching its receiver
+  int64_t wm_delivery = 0;   ///< a watermark-only (0-row) sub-batch
+  int64_t ready = 0;         ///< a task finishing a firing
+};
+
 /// \brief Result of one simulated run.
 struct SimResult {
   /// End-to-end latency distribution (seconds), recorded at the sink.
@@ -170,6 +179,8 @@ struct SimResult {
   int64_t backpressure_skipped = 0;
   int64_t late_drops = 0;
   int64_t events_processed = 0;
+  /// events_processed by kind (also the pdsp.sim.events.* counters).
+  SimEventCounts event_counts;
   double virtual_time_end = 0.0;
   std::vector<OperatorRunStats> op_stats;
   /// End-to-end latency attribution recorded at the sink (empty when no

@@ -136,6 +136,27 @@ TEST(PartitionKernelTest, MatchesScalarHashRouting) {
   }
 }
 
+// The engine reuses one bucket vector for every routing call, so leftover
+// rows or buckets from an earlier call (with more or fewer destinations,
+// or a longer row range) must never leak into the next result.
+TEST(PartitionKernelTest, ReusedBucketsMatchFreshOnes) {
+  const data::Batch b = MixedBatch(700, 17);
+  std::vector<data::SelectionVector> reused;
+  const struct {
+    size_t field, begin, end;
+    int p;
+  } calls[] = {{0, 0, 700, 7},   {1, 3, 40, 2}, {2, 0, 700, 64},
+               {0, 100, 101, 1}, {1, 0, 0, 5},  {0, 9, 650, 3},
+               {99, 0, 30, 4},   {2, 1, 699, 7}};
+  for (const auto& c : calls) {
+    std::vector<data::SelectionVector> fresh;
+    kernels::Partition(b, c.begin, c.end, c.field, c.p, &fresh);
+    kernels::Partition(b, c.begin, c.end, c.field, c.p, &reused);
+    EXPECT_EQ(reused, fresh) << "field " << c.field << " rows [" << c.begin
+                             << ", " << c.end << ") p " << c.p;
+  }
+}
+
 TEST(PartitionKernelTest, KeyBeyondArityRoutesEverythingToZero) {
   const data::Batch b = MixedBatch(16, 1);
   std::vector<data::SelectionVector> parts;

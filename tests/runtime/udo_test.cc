@@ -14,7 +14,9 @@ StreamElement Elem(std::vector<Value> values) {
 OperatorDescriptor UdoDesc(const std::string& kind, double selectivity = 1.0) {
   OperatorDescriptor op;
   op.type = OperatorType::kUdo;
-  op.name = "u";
+  // Built then moved: assigning the literal trips GCC 12's -O3
+  // -Werror=restrict false positive.
+  op.name = std::string("u");
   op.udo_kind = kind;
   op.udo_selectivity = selectivity;
   return op;

@@ -1,0 +1,132 @@
+// Engine regressions. The per-kind event counters must split
+// events_processed exactly, and results are pinned bit for bit for the plan
+// shapes whose routing and watermark channels the engine maps through flat
+// per-edge tables. The pinned values are simulated (virtual-time) results,
+// so a change that only makes events cheaper leaves every one unchanged.
+
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "src/harness/synthetic_suite.h"
+#include "src/query/builder.h"
+#include "src/sim/simulation.h"
+#include "tests/testing/test_plans.h"
+
+namespace pdsp {
+namespace {
+
+using testing::KeyValueStream;
+using testing::PoissonArrival;
+
+// The linear cell of the fanout-p64 benchmark workload: every operator at
+// p=64, so most sub-batches carry one row or none.
+TEST(EngineTest, EventCountsSplitEventsProcessedByKind) {
+  CanonicalOptions plan_options;
+  plan_options.event_rate = 200e3;
+  plan_options.parallelism = 64;
+  auto plan =
+      MakeCanonicalSynthetic(SyntheticStructure::kLinear, plan_options);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ExecutionOptions opt;
+  opt.sim.duration_s = 1.5;
+  opt.sim.warmup_s = 0.375;
+  opt.sim.seed = 42;
+  auto r = ExecutePlan(*plan, Cluster::M510(10), opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  const SimEventCounts& c = r->event_counts;
+  EXPECT_EQ(c.source_batch + c.delivery + c.wm_delivery + c.ready,
+            r->events_processed);
+  EXPECT_EQ(r->events_processed, 1356412);
+  EXPECT_EQ(c.source_batch, 19264);
+  EXPECT_EQ(c.delivery, 451039);
+  EXPECT_EQ(c.wm_delivery, 217471);
+  EXPECT_EQ(c.ready, 668638);
+
+  const obs::MetricsRegistry& reg = *r->metrics;
+  EXPECT_EQ(reg.CounterValue("pdsp.sim.events.source_batch"), c.source_batch);
+  EXPECT_EQ(reg.CounterValue("pdsp.sim.events.delivery"), c.delivery);
+  EXPECT_EQ(reg.CounterValue("pdsp.sim.events.wm_delivery"), c.wm_delivery);
+  EXPECT_EQ(reg.CounterValue("pdsp.sim.events.ready"), c.ready);
+}
+
+struct Pinned {
+  int64_t source_tuples;
+  int64_t sink_tuples;
+  int64_t events_processed;
+  double p50;
+  double p95;
+  double p99;
+  double mean;
+  // watermark_lag_s summed over the fan-in operator's time-series rows: its
+  // input watermark is the min over its channel slots at every sample.
+  double lag_sum;
+};
+
+void ExpectPinned(const Result<LogicalPlan>& plan,
+                  const std::string& fan_in_op, const Pinned& want) {
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ExecutionOptions opt;
+  opt.sim.duration_s = 2.0;
+  opt.sim.warmup_s = 0.5;
+  opt.sim.seed = 7;
+  opt.sim.attribute_latency = true;
+  auto r = ExecutePlan(*plan, Cluster::M510(4), opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->source_tuples, want.source_tuples);
+  EXPECT_EQ(r->sink_tuples, want.sink_tuples);
+  EXPECT_EQ(r->events_processed, want.events_processed);
+  EXPECT_EQ(r->median_latency_s, want.p50);
+  EXPECT_EQ(r->p95_latency_s, want.p95);
+  EXPECT_EQ(r->p99_latency_s, want.p99);
+  EXPECT_EQ(r->mean_latency_s, want.mean);
+  double lag_sum = 0.0;
+  for (const obs::TimeSeriesRow& row : r->timeseries.rows()) {
+    if (row.op == fan_in_op) lag_sum += row.watermark_lag_s;
+  }
+  EXPECT_EQ(lag_sum, want.lag_sum);
+}
+
+// Both join ports trace back to one source operator: a forward filter at
+// the source's parallelism feeds the left port, a rebalanced filter at half
+// of it the right one, and the join runs at a third degree. (A join fed on
+// both ports by literally one operator cannot be built: a plan rejects a
+// duplicate edge.)
+TEST(EngineTest, DiamondJoinResultsArePinned) {
+  PlanBuilder b;
+  auto src = b.Source("src", KeyValueStream(50), PoissonArrival(4000.0), 4);
+  auto lo = b.Filter("lo", src, 1, FilterOp::kLt, Value(60.0), 4);
+  b.WithPartitioning(lo, Partitioning::kForward);
+  auto hi = b.Filter("hi", src, 1, FilterOp::kGt, Value(40.0), 2);
+  WindowSpec win;
+  win.duration_ms = 200.0;
+  auto join = b.WindowJoin("join", lo, hi, 0, 0, win, 3);
+  b.Sink("sink", join);
+  ExpectPinned(b.Build(), "join",
+               {8017, 219478, 39264, 0.10304270240000002, 0.19322179139999929,
+                0.20146609224190493, 0.10300430114737075,
+                0.32000000000014295});
+}
+
+// One receiver mixes a forward edge (a single slot: its partner instance)
+// with a rebalance edge from an operator at half its degree (one slot per
+// sender; forward degrades to rebalance when the degrees differ).
+TEST(EngineTest, MixedForwardRebalanceFanInResultsArePinned) {
+  PlanBuilder b;
+  auto s1 = b.Source("s1", KeyValueStream(), PoissonArrival(3000.0), 4);
+  auto m1 = b.Map("m1", s1, 4);
+  b.WithPartitioning(m1, Partitioning::kForward);
+  auto s2 = b.Source("s2", KeyValueStream(), PoissonArrival(2000.0), 2);
+  auto m2 = b.Map("m2", s2, 2);
+  auto sink = b.Sink("sink", m1, 4);
+  b.WithPartitioning(sink, Partitioning::kForward);
+  b.ConnectExtra(m2, sink);
+  ExpectPinned(b.Build(), "sink",
+               {10161, 10161, 19922, 0.002575000000000105,
+                0.0048372520000000471, 0.0051778743999999488,
+                0.0027255109930634613, 0.20000000000019347});
+}
+
+}  // namespace
+}  // namespace pdsp

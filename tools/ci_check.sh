@@ -35,6 +35,18 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 step "ctest"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
+step "Release build (-O3) and the sim/data/runtime suites"
+# The optimized build type must compile under -Werror too: GCC 12 raises
+# -Wrestrict false positives at -O3 that the RelWithDebInfo (-O2) tree
+# never sees. Same separate-tree rationale as the sanitizer passes below.
+RELEASE_DIR="${BUILD_DIR}-release"
+cmake -B "$RELEASE_DIR" -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build "$RELEASE_DIR" -j "$JOBS"
+for t in sim_test data_test runtime_test; do
+  echo "--- release: $t ---"
+  "$RELEASE_DIR/tests/$t"
+done
+
 if [ "${PDSP_SKIP_TSAN:-0}" != "1" ]; then
   step "ThreadSanitizer pass (exec/sim/obs/harness suites)"
   # A separate build tree under PDSP_SANITIZE=thread: TSan and ASan are
