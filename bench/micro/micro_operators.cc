@@ -11,34 +11,48 @@
 
 #include "src/apps/apps.h"
 #include "src/data/batch.h"
+#include "src/query/batch_layout.h"
 #include "src/runtime/kernels.h"
 #include "src/runtime/operators.h"
 #include "src/runtime/udo.h"
+#include "tests/testing/operator_driver.h"
 #include "tests/testing/test_plans.h"
 
 namespace pdsp {
 namespace {
 
-StreamElement KeyValueElement(Rng* rng, double t) {
-  StreamElement e;
-  e.tuple.values = {Value(rng->UniformInt(1, 100)),
-                    Value(rng->Uniform(0.0, 100.0))};
-  e.tuple.event_time = t;
-  e.birth = t;
-  return e;
+// Instance 0 of operator `name` with an empty batch of its output layout.
+struct OperatorUnderTest {
+  std::unique_ptr<OperatorInstance> inst;
+  data::Batch out;
+};
+
+OperatorUnderTest Instantiate(const LogicalPlan& plan, const char* name) {
+  const LogicalPlan::OpId id = *plan.FindOperator(name);
+  return {CreateOperatorInstance(plan, id, 0, 1).value(),
+          data::Batch(LayoutForSchema(plan.OutputSchema(id)))};
 }
+
+// Rewrites `row` to one (key, val) row at event time t.
+void KeyValueRow(Rng* rng, double t, data::Batch* row) {
+  row->Clear();
+  row->AppendInt(0, rng->UniformInt(1, 100));
+  row->AppendDouble(1, rng->Uniform(0.0, 100.0));
+  row->FinishRow(t, t, kNoAttr);
+}
+
+const data::BatchLayout kKeyValueLayout({DataType::kInt, DataType::kDouble});
 
 void BM_FilterProcess(benchmark::State& state) {
   auto plan = testing::LinearPlan();
-  auto inst =
-      CreateOperatorInstance(*plan, *plan->FindOperator("filter"), 0, 1);
+  auto op = Instantiate(*plan, "filter");
   Rng rng(1);
-  std::vector<StreamElement> out;
+  data::Batch in(kKeyValueLayout);
   double t = 0.0;
   for (auto _ : state) {
-    out.clear();
-    benchmark::DoNotOptimize(
-        (*inst)->Process(KeyValueElement(&rng, t), 0, t, &out));
+    KeyValueRow(&rng, t, &in);
+    op.out.Clear();
+    benchmark::DoNotOptimize(op.inst->ProcessBatch(in, 0, 1, 0, t, &op.out));
     t += 1e-5;
   }
 }
@@ -46,15 +60,15 @@ BENCHMARK(BM_FilterProcess);
 
 void BM_WindowAggProcess(benchmark::State& state) {
   auto plan = testing::LinearPlan();
-  auto inst = CreateOperatorInstance(*plan, *plan->FindOperator("agg"), 0, 1);
+  auto op = Instantiate(*plan, "agg");
   Rng rng(1);
-  std::vector<StreamElement> out;
+  data::Batch in(kKeyValueLayout);
   double t = 0.0;
   for (auto _ : state) {
-    out.clear();
-    benchmark::DoNotOptimize(
-        (*inst)->Process(KeyValueElement(&rng, t), 0, t, &out));
-    (*inst)->OnTimer(t, &out);
+    KeyValueRow(&rng, t, &in);
+    op.out.Clear();
+    benchmark::DoNotOptimize(op.inst->ProcessBatch(in, 0, 1, 0, t, &op.out));
+    op.inst->OnTimer(t, &op.out);
     t += 1e-5;
   }
 }
@@ -62,52 +76,46 @@ BENCHMARK(BM_WindowAggProcess);
 
 void BM_WindowJoinProcess(benchmark::State& state) {
   auto plan = testing::TwoWayJoinPlan();
-  auto inst =
-      CreateOperatorInstance(*plan, *plan->FindOperator("join"), 0, 1);
+  auto op = Instantiate(*plan, "join");
   Rng rng(1);
-  std::vector<StreamElement> out;
+  data::Batch in(kKeyValueLayout);
   double t = 0.0;
   int port = 0;
   for (auto _ : state) {
-    out.clear();
+    KeyValueRow(&rng, t, &in);
+    op.out.Clear();
     benchmark::DoNotOptimize(
-        (*inst)->Process(KeyValueElement(&rng, t), port, t, &out));
+        op.inst->ProcessBatch(in, 0, 1, port, t, &op.out));
     port ^= 1;
     t += 1e-5;
   }
 }
 BENCHMARK(BM_WindowJoinProcess);
 
-void BM_UdoSentimentScore(benchmark::State& state) {
+// Runs one app UDO over the same single input row every iteration.
+void RunUdo(benchmark::State& state, AppId app, const char* name,
+            std::vector<Value> values) {
   RegisterAppUdos();
   AppOptions opt;
-  auto plan = MakeApp(AppId::kSentimentAnalysis, opt);
-  auto inst =
-      CreateOperatorInstance(*plan, *plan->FindOperator("sentiment"), 0, 1);
-  StreamElement e;
-  e.tuple.values = {Value(1),
-                    Value("ba ce di fo gu ha ba ce di fo gu ha ba ce")};
-  std::vector<StreamElement> out;
+  auto plan = MakeApp(app, opt);
+  auto op = Instantiate(*plan, name);
+  const data::Batch in =
+      testing::OneRowBatch(testing::MakeRow(std::move(values)));
   for (auto _ : state) {
-    out.clear();
-    benchmark::DoNotOptimize((*inst)->Process(e, 0, 0.0, &out));
+    op.out.Clear();
+    benchmark::DoNotOptimize(op.inst->ProcessBatch(in, 0, 1, 0, 0.0, &op.out));
   }
+}
+
+void BM_UdoSentimentScore(benchmark::State& state) {
+  RunUdo(state, AppId::kSentimentAnalysis, "sentiment",
+         {Value(1), Value("ba ce di fo gu ha ba ce di fo gu ha ba ce")});
 }
 BENCHMARK(BM_UdoSentimentScore);
 
 void BM_UdoMapMatch(benchmark::State& state) {
-  RegisterAppUdos();
-  AppOptions opt;
-  auto plan = MakeApp(AppId::kTrafficMonitoring, opt);
-  auto inst =
-      CreateOperatorInstance(*plan, *plan->FindOperator("map_match"), 0, 1);
-  StreamElement e;
-  e.tuple.values = {Value(1), Value(48.51), Value(8.52), Value(88.0)};
-  std::vector<StreamElement> out;
-  for (auto _ : state) {
-    out.clear();
-    benchmark::DoNotOptimize((*inst)->Process(e, 0, 0.0, &out));
-  }
+  RunUdo(state, AppId::kTrafficMonitoring, "map_match",
+         {Value(1), Value(48.51), Value(8.52), Value(88.0)});
 }
 BENCHMARK(BM_UdoMapMatch);
 
@@ -128,7 +136,7 @@ BENCHMARK(BM_ValueHash);
 constexpr int kBatchSizes[] = {1, 64, 1024};
 
 data::Batch KeyValueBatch(size_t rows, uint64_t seed) {
-  data::Batch b(data::BatchLayout({DataType::kInt, DataType::kDouble}));
+  data::Batch b(kKeyValueLayout);
   b.Reserve(rows);
   Rng rng(seed);
   for (size_t i = 0; i < rows; ++i) {
@@ -139,38 +147,48 @@ data::Batch KeyValueBatch(size_t rows, uint64_t seed) {
   return b;
 }
 
-std::unique_ptr<OperatorInstance> LinearPlanInstance(const char* op_name) {
-  auto plan = testing::LinearPlan();
-  auto inst = CreateOperatorInstance(*plan, *plan->FindOperator(op_name), 0, 1);
-  return std::move(*inst);
-}
-
 void BM_BatchFilterKernel(benchmark::State& state) {
-  auto inst = LinearPlanInstance("filter");
+  auto plan = testing::LinearPlan();
+  auto op = Instantiate(*plan, "filter");
   const auto rows = static_cast<size_t>(state.range(0));
   const data::Batch in = KeyValueBatch(rows, 1);
-  data::Batch out(in.layout());
   for (auto _ : state) {
-    out.Clear();
-    benchmark::DoNotOptimize(inst->ProcessBatch(in, 0, rows, 0, 0.0, &out));
+    op.out.Clear();
+    benchmark::DoNotOptimize(
+        op.inst->ProcessBatch(in, 0, rows, 0, 0.0, &op.out));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
 }
 BENCHMARK(BM_BatchFilterKernel)->Arg(1)->Arg(64)->Arg(1024);
 
 void BM_ScalarFilter(benchmark::State& state) {
-  auto inst = LinearPlanInstance("filter");
+  // The per-element twin: materialize each row with its birth and
+  // attribution handle, check the arity, evaluate the predicate on the
+  // dynamically typed Value and copy the survivor out.
+  auto plan = testing::LinearPlan();
+  const OperatorDescriptor& op = plan->op(*plan->FindOperator("filter"));
   const auto rows = static_cast<size_t>(state.range(0));
   const data::Batch in = KeyValueBatch(rows, 1);
-  std::vector<StreamElement> out;
+  struct Element {
+    Tuple tuple;
+    double birth;
+    uint32_t attr_id;
+  };
+  std::vector<Element> out;
   for (auto _ : state) {
     out.clear();
     for (size_t r = 0; r < rows; ++r) {
-      StreamElement e;
-      e.tuple = in.RowTuple(r);
-      e.birth = in.birth(r);
-      benchmark::DoNotOptimize(inst->Process(e, 0, 0.0, &out));
+      const Element e{in.RowTuple(r), in.birth(r), in.attr_id(r)};
+      if (op.filter_field >= e.tuple.values.size()) {
+        state.SkipWithError("filter field beyond tuple arity");
+        break;
+      }
+      if (EvaluateFilter(e.tuple.values[op.filter_field], op.filter_op,
+                         op.filter_literal)) {
+        out.push_back(e);
+      }
     }
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
 }
@@ -204,7 +222,7 @@ BENCHMARK(BM_BatchAggregateKernel)->Arg(1)->Arg(64)->Arg(1024);
 
 void BM_ScalarAggregate(benchmark::State& state) {
   // The per-element twin: materialize the Value and accumulate through the
-  // dynamically typed AsNumeric view, as the scalar window path does.
+  // dynamically typed AsNumeric view, as a tuple-at-a-time window does.
   const auto rows = static_cast<size_t>(state.range(0));
   const data::Batch in = KeyValueBatch(rows, 3);
   for (auto _ : state) {

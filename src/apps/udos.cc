@@ -37,17 +37,11 @@ namespace {
 // (text) -> one (word, 1) per whitespace token.
 class TokenizeWordsUdo : public Udo {
  public:
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.empty() || !e.tuple.values[0].is_string()) return;
-    for (const std::string& word :
-         SplitWhitespace(e.tuple.values[0].AsString())) {
-      StreamElement result;
-      result.tuple.event_time = e.tuple.event_time;
-      result.birth = e.birth;
-      result.attr_id = e.attr_id;
-      result.tuple.values = {Value(word), Value(int64_t{1})};
-      out->push_back(std::move(result));
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    const Value text = row.NumValues() > 0 ? row.value(0) : Value();
+    if (!text.is_string()) return;
+    for (const std::string& word : SplitWhitespace(text.AsString())) {
+      ctx->Emit({Value(word), Value(int64_t{1})});
     }
   }
 };
@@ -58,65 +52,46 @@ class TokenizeWordsUdo : public Udo {
 // three instances — a keyed-scaling wall no degree of parallelism can fix.
 class SentimentScoreUdo : public Udo {
  public:
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.size() < 2 || !e.tuple.values[1].is_string()) return;
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    const Value text = row.NumValues() > 1 ? row.value(1) : Value();
+    if (!text.is_string()) return;
     double score = 0.0;
-    for (const std::string& word :
-         SplitWhitespace(e.tuple.values[1].AsString())) {
+    for (const std::string& word : SplitWhitespace(text.AsString())) {
       score += WordPolarity(word);
     }
-    StreamElement result;
-    result.tuple.event_time = e.tuple.event_time;
-    result.birth = e.birth;
-    result.attr_id = e.attr_id;
     const int64_t polarity = score > 0 ? 1 : (score < 0 ? -1 : 0);
-    const int64_t shard = e.tuple.values[0].AsNumeric() >= 0
-                              ? static_cast<int64_t>(
-                                    e.tuple.values[0].AsNumeric()) % 128
-                              : 0;
-    result.tuple.values = {Value(shard), Value(score), Value(polarity)};
-    out->push_back(std::move(result));
+    const double user = row.Numeric(0);
+    const int64_t shard = user >= 0 ? static_cast<int64_t>(user) % 128 : 0;
+    ctx->Emit({Value(shard), Value(score), Value(polarity)});
   }
 };
 
 // (logline) -> (status, bytes): "parses" the line deterministically.
 class LogParseUdo : public Udo {
  public:
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.empty() || !e.tuple.values[0].is_string()) return;
-    const auto tokens = SplitWhitespace(e.tuple.values[0].AsString());
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    const Value line = row.NumValues() > 0 ? row.value(0) : Value();
+    if (!line.is_string()) return;
+    const auto tokens = SplitWhitespace(line.AsString());
     if (tokens.empty()) return;
     const uint64_t h = Value(tokens[0]).Hash();
     static const int64_t kStatuses[] = {200, 200, 200, 200, 200, 200, 200,
                                         301, 404, 500};
     const int64_t status = kStatuses[h % 10];
     const double bytes = 200.0 + static_cast<double>(h % 4096);
-    StreamElement result;
-    result.tuple.event_time = e.tuple.event_time;
-    result.birth = e.birth;
-    result.attr_id = e.attr_id;
-    result.tuple.values = {Value(status), Value(bytes)};
-    out->push_back(std::move(result));
+    ctx->Emit({Value(status), Value(bytes)});
   }
 };
 
 // (text) -> (topic, 1) for "hashtag" words (deterministic 1-in-8 of vocab).
 class TopicExtractUdo : public Udo {
  public:
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.empty() || !e.tuple.values[0].is_string()) return;
-    for (const std::string& word :
-         SplitWhitespace(e.tuple.values[0].AsString())) {
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    const Value text = row.NumValues() > 0 ? row.value(0) : Value();
+    if (!text.is_string()) return;
+    for (const std::string& word : SplitWhitespace(text.AsString())) {
       if (Value(word).Hash() % 8 != 0) continue;
-      StreamElement result;
-      result.tuple.event_time = e.tuple.event_time;
-      result.birth = e.birth;
-      result.attr_id = e.attr_id;
-      result.tuple.values = {Value(word), Value(int64_t{1})};
-      out->push_back(std::move(result));
+      ctx->Emit({Value(word), Value(int64_t{1})});
     }
   }
 };
@@ -127,11 +102,10 @@ class TopicRankUdo : public Udo {
  public:
   explicit TopicRankUdo(size_t k) : k_(k) {}
 
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.size() < 2) return;
-    const double count = e.tuple.values[1].AsNumeric();
-    counts_[e.tuple.values[0]] = count;
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    if (row.NumValues() < 2) return;
+    const double count = row.Numeric(1);
+    counts_[row.value(0)] = count;
     // Keep the tracker bounded.
     if (counts_.size() > 4 * k_) {
       std::vector<std::pair<double, Value>> ranked;
@@ -151,7 +125,7 @@ class TopicRankUdo : public Udo {
     // Emit while in the current top-k.
     size_t above = 0;
     for (const auto& [topic, c] : counts_) above += c > count;
-    if (above < k_) out->push_back(e);
+    if (above < k_) ctx->Emit(row.ToTuple().values);
   }
 
  private:
@@ -164,22 +138,16 @@ class TopicRankUdo : public Udo {
 // (machine, cpu, mem) -> (machine, anomaly score): per-machine z-scores.
 class MachineOutlierUdo : public Udo {
  public:
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.size() < 3) return;
-    const Value machine = e.tuple.values[0];
-    const double cpu = e.tuple.values[1].AsNumeric();
-    const double mem = e.tuple.values[2].AsNumeric();
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    if (row.NumValues() < 3) return;
+    const Value machine = row.value(0);
+    const double cpu = row.Numeric(1);
+    const double mem = row.Numeric(2);
     Stats& s = stats_[machine];
     const double score = s.Score(cpu) + s.Score(mem);
     s.Add(cpu);
     s.Add(mem);
-    StreamElement result;
-    result.tuple.event_time = e.tuple.event_time;
-    result.birth = e.birth;
-    result.attr_id = e.attr_id;
-    result.tuple.values = {machine, Value(score)};
-    out->push_back(std::move(result));
+    ctx->Emit({machine, Value(score)});
   }
 
  private:
@@ -207,23 +175,17 @@ class SpikeDetectUdo : public Udo {
   SpikeDetectUdo(size_t window, double threshold)
       : window_(window), threshold_(threshold) {}
 
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.size() < 2) return;
-    const Value sensor = e.tuple.values[0];
-    const double v = e.tuple.values[1].AsNumeric();
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    if (row.NumValues() < 2) return;
+    const Value sensor = row.value(0);
+    const double v = row.Numeric(1);
     auto& buf = history_[sensor];
     if (buf.size() >= window_) {
       double sum = 0.0;
       for (double x : buf) sum += x;
       const double avg = sum / static_cast<double>(buf.size());
       if (std::abs(v - avg) > threshold_ * std::max(1e-9, std::abs(avg))) {
-        StreamElement result;
-        result.tuple.event_time = e.tuple.event_time;
-        result.birth = e.birth;
-        result.attr_id = e.attr_id;
-        result.tuple.values = {sensor, Value(v), Value(avg)};
-        out->push_back(std::move(result));
+        ctx->Emit({sensor, Value(v), Value(avg)});
       }
     }
     buf.push_back(v);
@@ -240,23 +202,15 @@ class SpikeDetectUdo : public Udo {
 // EWMA baseline (DEBS'14 smart grid outlier detection).
 class SmartGridOutlierUdo : public Udo {
  public:
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.size() < 3) return;
-    const Value house = e.tuple.values[0];
-    const double load = e.tuple.values[2].AsNumeric();
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    if (row.NumValues() < 3) return;
+    const Value house = row.value(0);
+    const double load = row.Numeric(2);
     auto [it, inserted] = baseline_.try_emplace(house, load);
     double& avg = it->second;
     const double ratio = avg > 1e-9 ? load / avg : 1.0;
     avg = 0.98 * avg + 0.02 * load;
-    if (!inserted && ratio > 1.5) {
-      StreamElement result;
-      result.tuple.event_time = e.tuple.event_time;
-      result.birth = e.birth;
-      result.attr_id = e.attr_id;
-      result.tuple.values = {house, Value(load), Value(ratio)};
-      out->push_back(std::move(result));
-    }
+    if (!inserted && ratio > 1.5) ctx->Emit({house, Value(load), Value(ratio)});
   }
 
  private:
@@ -269,21 +223,15 @@ class SmartGridOutlierUdo : public Udo {
 // geometry), derived deterministically from the segment id.
 class LinearRoadTollUdo : public Udo {
  public:
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.size() < 2) return;
-    const double avg_speed = e.tuple.values[1].AsNumeric();
-    const double threshold =
-        30.0 + static_cast<double>(e.tuple.values[0].Hash() % 41);
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    if (row.NumValues() < 2) return;
+    const Value segment = row.value(0);
+    const double avg_speed = row.Numeric(1);
+    const double threshold = 30.0 + static_cast<double>(segment.Hash() % 41);
     if (avg_speed >= threshold) return;
     const double deficit = threshold - avg_speed;
     const double toll = 2.0 * deficit * deficit / 100.0;
-    StreamElement result;
-    result.tuple.event_time = e.tuple.event_time;
-    result.birth = e.birth;
-    result.attr_id = e.attr_id;
-    result.tuple.values = {e.tuple.values[0], Value(toll)};
-    out->push_back(std::move(result));
+    ctx->Emit({segment, Value(toll)});
   }
 };
 
@@ -291,11 +239,10 @@ class LinearRoadTollUdo : public Udo {
 // a deliberate trig inner loop (the compute-heavy UDO of the suite).
 class MapMatchUdo : public Udo {
  public:
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.size() < 4) return;
-    const double lat = e.tuple.values[1].AsNumeric();
-    const double lon = e.tuple.values[2].AsNumeric();
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    if (row.NumValues() < 4) return;
+    const double lat = row.Numeric(1);
+    const double lon = row.Numeric(2);
     // Probe the 3x3 neighbourhood of grid cells for the nearest "road"
     // anchor (synthetic anchors at cell centres).
     const double cell = 0.01;
@@ -322,12 +269,7 @@ class MapMatchUdo : public Udo {
         }
       }
     }
-    StreamElement result;
-    result.tuple.event_time = e.tuple.event_time;
-    result.birth = e.birth;
-    result.attr_id = e.attr_id;
-    result.tuple.values = {Value(road), e.tuple.values[3]};
-    out->push_back(std::move(result));
+    ctx->Emit({Value(road), row.value(3)});
   }
 };
 
@@ -337,12 +279,10 @@ class MapMatchUdo : public Udo {
 // low-probability location transitions (per-account Markov chain).
 class FraudScoreUdo : public Udo {
  public:
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.size() < 3) return;
-    const Value account = e.tuple.values[0];
-    const int64_t location = static_cast<int64_t>(
-        e.tuple.values[2].AsNumeric());
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    if (row.NumValues() < 3) return;
+    const Value account = row.value(0);
+    const auto location = static_cast<int64_t>(row.Numeric(2));
     AccountState& s = accounts_[account];
     double prob = 1.0;
     if (s.total > 4) {
@@ -354,14 +294,7 @@ class FraudScoreUdo : public Udo {
     ++s.transitions[{s.last_location, location}];
     ++s.total;
     s.last_location = location;
-    if (prob < 0.12) {
-      StreamElement result;
-      result.tuple.event_time = e.tuple.event_time;
-      result.birth = e.birth;
-      result.attr_id = e.attr_id;
-      result.tuple.values = {account, e.tuple.values[1], Value(prob)};
-      out->push_back(std::move(result));
-    }
+    if (prob < 0.12) ctx->Emit({account, row.value(1), Value(prob)});
   }
 
  private:
@@ -377,12 +310,11 @@ class FraudScoreUdo : public Udo {
 // symbol's running VWAP.
 class BargainIndexUdo : public Udo {
  public:
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.size() < 3) return;
-    const Value symbol = e.tuple.values[0];
-    const double price = e.tuple.values[1].AsNumeric();
-    const double volume = std::max(1.0, e.tuple.values[2].AsNumeric());
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    if (row.NumValues() < 3) return;
+    const Value symbol = row.value(0);
+    const double price = row.Numeric(1);
+    const double volume = std::max(1.0, row.Numeric(2));
     Vwap& v = vwap_[symbol];
     v.pv += price * volume;
     v.vol += volume;
@@ -391,12 +323,7 @@ class BargainIndexUdo : public Udo {
     // Exponential decay keeps the VWAP responsive.
     v.pv *= 0.999;
     v.vol *= 0.999;
-    StreamElement result;
-    result.tuple.event_time = e.tuple.event_time;
-    result.birth = e.birth;
-    result.attr_id = e.attr_id;
-    result.tuple.values = {symbol, Value(price), Value(index)};
-    out->push_back(std::move(result));
+    ctx->Emit({symbol, Value(price), Value(index)});
   }
 
  private:
@@ -413,20 +340,14 @@ class ClickDedupUdo : public Udo {
  public:
   explicit ClickDedupUdo(size_t capacity) : capacity_(capacity) {}
 
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.size() < 2) return;
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    if (row.NumValues() < 2) return;
+    const Value url = row.value(1);
     const uint64_t key =
-        e.tuple.values[0].Hash() * 0x9e3779b97f4a7c15ULL ^
-        e.tuple.values[1].Hash();
+        row.value(0).Hash() * 0x9e3779b97f4a7c15ULL ^ url.Hash();
     if (seen_.size() >= capacity_) seen_.clear();
     if (!seen_.insert(key).second) return;
-    StreamElement result;
-    result.tuple.event_time = e.tuple.event_time;
-    result.birth = e.birth;
-    result.attr_id = e.attr_id;
-    result.tuple.values = {e.tuple.values[1], Value(int64_t{1})};
-    out->push_back(std::move(result));
+    ctx->Emit({url, Value(int64_t{1})});
   }
 
  private:
@@ -438,21 +359,15 @@ class ClickDedupUdo : public Udo {
 // weight): the AD app's custom sliding aggregation logic.
 class AdCtrUdo : public Udo {
  public:
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.size() < 3) return;
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    if (row.NumValues() < 3) return;
     // l_ad = field 0, l_campaign = field 1; click weight decays with the
     // click/impression time gap captured by position in the join window.
-    const Value campaign = e.tuple.values[1];
+    const Value campaign = row.value(1);
     Window& w = per_campaign_[campaign];
     ++w.pairs;
     const double weight = 1.0 / (1.0 + 0.1 * static_cast<double>(w.pairs % 64));
-    StreamElement result;
-    result.tuple.event_time = e.tuple.event_time;
-    result.birth = e.birth;
-    result.attr_id = e.attr_id;
-    result.tuple.values = {campaign, Value(weight)};
-    out->push_back(std::move(result));
+    ctx->Emit({campaign, Value(weight)});
   }
 
  private:
@@ -466,18 +381,11 @@ class AdCtrUdo : public Udo {
 // (returnflag, disc_price): TPC-H Q1's derived column.
 class TpchDiscPriceUdo : public Udo {
  public:
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.size() < 4) return;
-    const double price = e.tuple.values[2].AsNumeric();
-    const double discount = e.tuple.values[3].AsNumeric();
-    StreamElement result;
-    result.tuple.event_time = e.tuple.event_time;
-    result.birth = e.birth;
-    result.attr_id = e.attr_id;
-    result.tuple.values = {e.tuple.values[0],
-                           Value(price * (1.0 - discount))};
-    out->push_back(std::move(result));
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    if (row.NumValues() < 4) return;
+    const double price = row.Numeric(2);
+    const double discount = row.Numeric(3);
+    ctx->Emit({row.value(0), Value(price * (1.0 - discount))});
   }
 };
 

@@ -5,11 +5,11 @@
 // arrays; string columns are views into an arena of stable chunks with
 // short strings interned per batch) plus three per-row system columns:
 // event time, birth (earliest contributing source tuple's production time)
-// and the latency-attribution handle (StreamElement::attr_id). Vectorized
-// kernels (src/runtime/kernels.h) filter, hash, aggregate and partition
-// over columns directly; rows are materialized into dynamically typed
-// Tuple/Value form only at type-erasure boundaries (UDOs, window/join
-// state) via RowView.
+// and the latency-attribution handle (see src/runtime/element.h).
+// Vectorized kernels (src/runtime/kernels.h) filter, hash, aggregate and
+// partition over columns directly. Operators that work row by row read
+// cells through RowView (UDOs) or materialize a row once with RowTuple
+// (join buffers), and append their outputs per column.
 //
 // Layout rules:
 //  - The column set and types come from a BatchLayout derived from the
@@ -121,13 +121,13 @@ class Batch {
   void Clear();
   void Reserve(size_t rows);
 
-  // --- row appends (type-erasure boundary) -------------------------------
+  // --- row appends (building a batch from dynamically typed tuples) -----
 
   /// Appends one dynamically typed row. Values that disagree with their
   /// column's layout type promote the column (exact round-trip preserved).
   void AppendTuple(const Tuple& tuple, double birth, uint32_t attr_id);
 
-  // --- columnar appends (kernels, generator) -----------------------------
+  // --- columnar appends (operators, generator) ---------------------------
   // Append one value per column (in any column order), then FinishRow once
   // per row. FinishRow asserts all columns reached the new length.
 
@@ -231,9 +231,9 @@ class Batch {
   size_t promotions_ = 0;
 };
 
-/// \brief Cheap view of one batch row — the adapter stateful operators and
-/// UDOs use to materialize dynamically typed elements at the type-erasure
-/// boundary (see StreamElement helpers in src/runtime/element.h).
+/// \brief Cheap view of one batch row: what a UDO reads its input through
+/// (src/runtime/udo.h). Cells come back dynamically typed, exactly as
+/// stored, so promoted columns read the same as typed ones.
 class RowView {
  public:
   RowView(const Batch& batch, size_t row) : batch_(&batch), row_(row) {}

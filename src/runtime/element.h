@@ -1,11 +1,12 @@
-// Stream elements: a tuple plus the birth timestamp of its earliest
-// contributing source tuple. End-to-end latency at the sink is
-// (delivery time - birth), which per the paper's definition includes window
-// residence time and every queueing/network delay along the way.
+// Latency attribution for in-flight rows. Every batch row carries, next to
+// its event time, the birth timestamp of its earliest contributing source
+// tuple; end-to-end latency at the sink is (delivery time - birth), which
+// per the paper's definition includes window residence time and every
+// queueing/network delay along the way.
 //
-// Each element additionally carries an attribution handle: when
-// SimOptions::attribute_latency is on, the simulator charges every
-// virtual-time interval an element lives through to exactly one component
+// Each row additionally carries an attribution handle (the batch's attr_id
+// column): when SimOptions::attribute_latency is on, the simulator charges
+// every virtual-time interval a row lives through to exactly one component
 // (source batching, network transit, queue wait, service, window residency)
 // of a pool record the handle names, so at the sink the components
 // telescope back to (delivery time - birth). The records live in an
@@ -18,24 +19,22 @@
 
 #include <cstdint>
 
-#include "src/data/value.h"
-
 namespace pdsp {
 
-/// Attribution handle of an element that is not being tracked (attribution
+/// Attribution handle of a row that is not being tracked (attribution
 /// disabled, or the engine's pool cap was reached).
 inline constexpr uint32_t kNoAttr = 0xFFFFFFFFu;
 
-/// \brief Where an element's lifetime has been spent so far (seconds of
-/// virtual time, accumulated across every operator it passed through).
-/// Stored in the simulation engine's attribution pool; elements reference
-/// records by `StreamElement::attr_id`. Derived elements (window fires,
-/// join results, UDO outputs) share the record of their earliest
-/// contributor, so each interval of virtual time is charged once.
+/// \brief Where a row's lifetime has been spent so far (seconds of virtual
+/// time, accumulated across every operator it passed through). Stored in
+/// the simulation engine's attribution pool; rows reference records by
+/// their `data::Batch::attr_id`. Derived rows (window fires, join results,
+/// UDO outputs) share the record of their earliest contributor, so each
+/// interval of virtual time is charged once.
 ///
 /// Invariant maintained by the simulator: after every charge,
 /// `accounted_until - birth == source_batch_s + network_s + queue_s +
-/// service_s + window_s` for the element's earliest contributing source
+/// service_s + window_s` for the row's earliest contributing source
 /// tuple, so the sink-side components sum to the recorded end-to-end
 /// latency exactly.
 struct LatencyAttr {
@@ -51,25 +50,13 @@ struct LatencyAttr {
   /// Buffered in window/join state waiting for the pane to fire or the
   /// partner to arrive.
   double window_s = 0.0;
-  /// Virtual time up to which this element's lifetime has been attributed
+  /// Virtual time up to which this row's lifetime has been attributed
   /// (bookkeeping cursor, not a component).
   double accounted_until = 0.0;
 
   double ComponentSum() const {
     return source_batch_s + network_s + queue_s + service_s + window_s;
   }
-};
-
-/// \brief One in-flight stream element.
-struct StreamElement {
-  Tuple tuple;
-  /// Production time of the earliest source tuple that contributed to this
-  /// element (== tuple.event_time for raw source tuples).
-  double birth = 0.0;
-  /// Handle into the engine's attribution pool for the earliest
-  /// contributing source tuple (derived results inherit the handle
-  /// matching `birth`); kNoAttr when the element is untracked.
-  uint32_t attr_id = kNoAttr;
 };
 
 }  // namespace pdsp

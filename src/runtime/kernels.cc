@@ -67,7 +67,7 @@ Status FilterSelect(const data::Batch& in, size_t begin, size_t end,
                   in.NumColumns()));
   }
   if (in.column_promoted(field)) {
-    // Dynamically typed fallback: exact scalar semantics per row.
+    // Dynamically typed fallback: EvaluateFilter per row.
     for (size_t i = begin; i < end; ++i) {
       if (EvaluateFilter(in.ValueAt(i, field), op, literal)) {
         sel->push_back(static_cast<uint32_t>(i));
@@ -246,7 +246,7 @@ void Partition(const data::Batch& in, size_t begin, size_t end,
   parts->resize(static_cast<size_t>(std::max(1, num_partitions)));
   for (data::SelectionVector& part : *parts) part.clear();
   if (key_field >= in.NumColumns()) {
-    // Keyless fallback: the scalar router hashes nothing and sends to 0.
+    // Keyless fallback: nothing to hash, everything goes to 0.
     data::SelectionVector& p0 = (*parts)[0];
     p0.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {

@@ -1,10 +1,10 @@
-// Vectorized columnar kernels over data::Batch. Each kernel is the batch
-// counterpart of an existing per-element code path and is required to be
-// bit-identical to it: FilterSelect replicates Value comparison semantics
-// (string-vs-string lexical, otherwise the AsNumeric() double view),
-// HashColumn replicates Value::Hash() (via the exported per-type hash
-// primitives in src/data/value.h), Aggregate adds in row order exactly like
-// the window AggState. Promoted (dynamically typed) columns take a per-row
+// Vectorized columnar kernels over data::Batch. Each kernel must give
+// exactly what the same per-value computation on materialized Values gives:
+// FilterSelect replicates EvaluateFilter (string-vs-string lexical,
+// otherwise the AsNumeric() double view), HashColumn replicates
+// Value::Hash() (via the exported per-type hash primitives in
+// src/data/value.h), Aggregate adds in row order exactly like the window
+// AggState. Promoted (dynamically typed) columns take a per-row
 // Value fallback inside each kernel, so callers never branch on layout.
 
 #ifndef PDSP_RUNTIME_KERNELS_H_
@@ -23,8 +23,7 @@ namespace kernels {
 
 /// Appends to *sel the indices of rows in [begin, end) whose `field` value
 /// satisfies `value <op> literal`, with Value comparison semantics.
-/// Fails with OutOfRange when `field` is beyond the batch arity (mirroring
-/// the scalar FilterExec).
+/// Fails with OutOfRange when `field` is beyond the batch arity.
 Status FilterSelect(const data::Batch& in, size_t begin, size_t end,
                     size_t field, FilterOp op, const Value& literal,
                     data::SelectionVector* sel);
@@ -67,8 +66,8 @@ Status Aggregate(const data::Batch& in, size_t begin, size_t end,
 /// parts[0 .. num_partitions): parts[d] lists the rows whose key hash maps
 /// to destination d (row order preserved within each destination — the
 /// gather-once half of a radix partition). A `key_field` beyond the batch
-/// arity sends every row to destination 0 (the scalar router's fallback for
-/// keyless tuples). `parts` is resized to num_partitions and its buckets
+/// arity sends every row to destination 0 (keyless rows have nothing to
+/// hash). `parts` is resized to num_partitions and its buckets
 /// emptied by the call; surviving buckets keep their storage, so a caller
 /// that reuses one vector across calls stops allocating once it has grown.
 void Partition(const data::Batch& in, size_t begin, size_t end,

@@ -32,33 +32,6 @@ bool EvaluateFilter(const Value& value, FilterOp op, const Value& literal) {
   return false;
 }
 
-Status OperatorInstance::ProcessBatch(const data::Batch& in, size_t row_begin,
-                                      size_t row_end, int input_port,
-                                      double now, data::Batch* out) {
-  // Row-view adapter: the type-erasure boundary for operators without a
-  // columnar kernel (UDOs, joins). Each row is materialized once, processed
-  // by the scalar path, and its outputs re-appended columnar.
-  std::vector<StreamElement> scratch;
-  for (size_t row = row_begin; row < row_end; ++row) {
-    scratch.clear();
-    StreamElement e;
-    e.tuple = in.RowTuple(row);
-    e.birth = in.birth(row);
-    e.attr_id = in.attr_id(row);
-    PDSP_RETURN_NOT_OK(Process(e, input_port, now, &scratch));
-    for (const StreamElement& o : scratch) {
-      if (o.tuple.values.size() != out->NumColumns()) {
-        return Status::Internal(StrFormat(
-            "operator emitted arity %zu but its output schema has %zu "
-            "fields",
-            o.tuple.values.size(), out->NumColumns()));
-      }
-      out->AppendTuple(o.tuple, o.birth, o.attr_id);
-    }
-  }
-  return Status::OK();
-}
-
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -69,23 +42,17 @@ uint32_t KernelMarker(const char* name) {
   return obs::prof::ProfilingActive() ? obs::prof::InternName(name) : 0u;
 }
 
+// The guard on row-at-a-time output (joins, UDOs): a row must have one value
+// per column of the operator's output schema.
+Status ArityMismatch(size_t emitted, const data::Batch& out) {
+  return Status::Internal(StrFormat(
+      "operator emitted arity %zu but its output schema has %zu fields",
+      emitted, out.NumColumns()));
+}
+
 class FilterExec : public OperatorInstance {
  public:
   explicit FilterExec(const OperatorDescriptor& op) : op_(op) {}
-
-  Status Process(const StreamElement& e, int, double,
-                 std::vector<StreamElement>* out) override {
-    if (op_.filter_field >= e.tuple.values.size()) {
-      return Status::OutOfRange(
-          StrFormat("filter field %zu beyond tuple arity %zu",
-                    op_.filter_field, e.tuple.values.size()));
-    }
-    if (EvaluateFilter(e.tuple.values[op_.filter_field], op_.filter_op,
-                       op_.filter_literal)) {
-      out->push_back(e);
-    }
-    return Status::OK();
-  }
 
   Status ProcessBatch(const data::Batch& in, size_t row_begin, size_t row_end,
                       int, double, data::Batch* out) override {
@@ -106,12 +73,6 @@ class FilterExec : public OperatorInstance {
 
 class MapExec : public OperatorInstance {
  public:
-  Status Process(const StreamElement& e, int, double,
-                 std::vector<StreamElement>* out) override {
-    out->push_back(e);
-    return Status::OK();
-  }
-
   Status ProcessBatch(const data::Batch& in, size_t row_begin, size_t row_end,
                       int, double, data::Batch* out) override {
     out->AppendRange(in, row_begin, row_end);
@@ -124,18 +85,11 @@ class FlatMapExec : public OperatorInstance {
   FlatMapExec(const OperatorDescriptor& op, uint64_t seed)
       : fanout_(std::max(0.0, op.flatmap_fanout)), rng_(seed) {}
 
-  Status Process(const StreamElement& e, int, double,
-                 std::vector<StreamElement>* out) override {
-    const int64_t copies = DrawCopies();
-    for (int64_t i = 0; i < copies; ++i) out->push_back(e);
-    return Status::OK();
-  }
-
   Status ProcessBatch(const data::Batch& in, size_t row_begin, size_t row_end,
                       int, double, data::Batch* out) override {
     obs::prof::ProfScope scope(obs::prof::FrameKind::kKernel, kernel_id_);
     // Replication as a selection vector with repeated indices; the RNG is
-    // drawn per row in row order, matching the scalar path draw for draw.
+    // drawn once per row in row order, so chunking never changes the draws.
     sel_.clear();
     for (size_t row = row_begin; row < row_end; ++row) {
       const int64_t copies = DrawCopies();
@@ -206,22 +160,6 @@ class TimeWindowAggExec : public OperatorInstance {
         duration_(op.window.DurationSeconds()),
         slide_(std::max(1e-9, op.window.SlideSeconds())) {}
 
-  Status Process(const StreamElement& e, int, double,
-                 std::vector<StreamElement>* out) override {
-    (void)out;
-    if (op_.agg_field >= e.tuple.values.size()) {
-      return Status::OutOfRange("aggregate field beyond tuple arity");
-    }
-    const bool keyed = op_.key_field != OperatorDescriptor::kNoKey;
-    if (keyed && op_.key_field >= e.tuple.values.size()) {
-      return Status::OutOfRange("key field beyond tuple arity");
-    }
-    const Value key = keyed ? e.tuple.values[op_.key_field] : Value(0);
-    AddRow(e.tuple.event_time, key,
-           e.tuple.values[op_.agg_field].AsNumeric(), e.birth, e.attr_id);
-    return Status::OK();
-  }
-
   Status ProcessBatch(const data::Batch& in, size_t row_begin, size_t row_end,
                       int, double, data::Batch* out) override {
     (void)out;  // time windows emit on timers, not on input
@@ -246,20 +184,16 @@ class TimeWindowAggExec : public OperatorInstance {
     return Status::OK();
   }
 
-  void OnTimer(double now, std::vector<StreamElement>* out) override {
+  void OnTimer(double now, data::Batch* out) override {
     while (!panes_.empty()) {
       const int64_t pane = panes_.begin()->first;
       const double pane_end = static_cast<double>(pane) * slide_ + duration_;
       if (pane_end > now) break;
       const bool keyed = op_.key_field != OperatorDescriptor::kNoKey;
       for (const auto& [key, state] : panes_.begin()->second) {
-        StreamElement result;
-        result.tuple.event_time = pane_end;
-        result.birth = state.first_birth;
-        result.attr_id = state.first_attr_id;
-        if (keyed) result.tuple.values.push_back(key);
-        result.tuple.values.push_back(Value(state.Finish(op_.agg_fn)));
-        out->push_back(std::move(result));
+        if (keyed) out->AppendValue(0, key);
+        out->AppendDouble(keyed ? 1 : 0, state.Finish(op_.agg_fn));
+        out->FinishRow(pane_end, state.first_birth, state.first_attr_id);
       }
       panes_.erase(panes_.begin());
       watermark_ = std::max(watermark_, pane_end);
@@ -271,11 +205,6 @@ class TimeWindowAggExec : public OperatorInstance {
 
   double NextTimerTime() const override {
     return timer_heap_.empty() ? kInf : timer_heap_.top();
-  }
-
-  void Flush(double now, std::vector<StreamElement>* out) override {
-    OnTimer(kInf, out);
-    (void)now;
   }
 
   size_t StateSize() const override {
@@ -325,24 +254,6 @@ class CountWindowAggExec : public OperatorInstance {
         length_(std::max<int64_t>(1, op.window.length_tuples)),
         slide_(std::max<int64_t>(1, op.window.SlideTuples())) {}
 
-  Status Process(const StreamElement& e, int, double,
-                 std::vector<StreamElement>* out) override {
-    if (op_.agg_field >= e.tuple.values.size()) {
-      return Status::OutOfRange("aggregate field beyond tuple arity");
-    }
-    const bool keyed = op_.key_field != OperatorDescriptor::kNoKey;
-    if (keyed && op_.key_field >= e.tuple.values.size()) {
-      return Status::OutOfRange("key field beyond tuple arity");
-    }
-    const Value key = keyed ? e.tuple.values[op_.key_field] : Value(0);
-    StreamElement fired;
-    if (AddRow(key, keyed, e.tuple.values[op_.agg_field].AsNumeric(),
-               e.tuple.event_time, e.birth, e.attr_id, &fired)) {
-      out->push_back(std::move(fired));
-    }
-    return Status::OK();
-  }
-
   Status ProcessBatch(const data::Batch& in, size_t row_begin, size_t row_end,
                       int, double, data::Batch* out) override {
     obs::prof::ProfScope scope(obs::prof::FrameKind::kKernel, kernel_id_);
@@ -358,11 +269,8 @@ class CountWindowAggExec : public OperatorInstance {
                            vals_.data());
     for (size_t row = row_begin; row < row_end; ++row) {
       const Value key = keyed ? in.ValueAt(row, op_.key_field) : Value(0);
-      StreamElement fired;
-      if (AddRow(key, keyed, vals_[row - row_begin], in.event_time(row),
-                 in.birth(row), in.attr_id(row), &fired)) {
-        out->AppendTuple(fired.tuple, fired.birth, fired.attr_id);
-      }
+      AddRow(key, keyed, vals_[row - row_begin], in.event_time(row),
+             in.birth(row), in.attr_id(row), out);
     }
     return Status::OK();
   }
@@ -380,24 +288,21 @@ class CountWindowAggExec : public OperatorInstance {
     uint32_t attr_id;
   };
 
-  /// Buffers one element; fires the key's window into *fired (returning
-  /// true) once the buffer reaches the window length.
-  bool AddRow(const Value& key, bool keyed, double v, double event_time,
-              double birth, uint32_t attr_id, StreamElement* fired) {
+  /// Buffers one row; appends the key's window result to *out once the
+  /// buffer reaches the window length.
+  void AddRow(const Value& key, bool keyed, double v, double event_time,
+              double birth, uint32_t attr_id, data::Batch* out) {
     auto& buf = buffers_[key];
     buf.push_back({v, birth, attr_id});
-    if (static_cast<int64_t>(buf.size()) < length_) return false;
+    if (static_cast<int64_t>(buf.size()) < length_) return;
     AggState state;
     for (const Entry& entry : buf) {
       state.Add(entry.value, entry.birth, entry.attr_id);
     }
-    fired->tuple.event_time = event_time;
-    fired->birth = state.first_birth;
-    fired->attr_id = state.first_attr_id;
-    if (keyed) fired->tuple.values.push_back(key);
-    fired->tuple.values.push_back(Value(state.Finish(op_.agg_fn)));
+    if (keyed) out->AppendValue(0, key);
+    out->AppendDouble(keyed ? 1 : 0, state.Finish(op_.agg_fn));
+    out->FinishRow(event_time, state.first_birth, state.first_attr_id);
     for (int64_t i = 0; i < slide_ && !buf.empty(); ++i) buf.pop_front();
-    return true;
   }
 
   OperatorDescriptor op_;
@@ -409,86 +314,91 @@ class CountWindowAggExec : public OperatorInstance {
 };
 
 // Windowed equi-join. Time policy: per-side keyed buffers holding the last
-// `duration` seconds of elements (by event time); every arrival probes the
+// `duration` seconds of rows (by event time); every arrival probes the
 // opposite side. Count policy: per-side per-key buffers of the last
-// length_tuples elements.
+// length_tuples rows.
 class WindowJoinExec : public OperatorInstance {
  public:
   explicit WindowJoinExec(const OperatorDescriptor& op)
       : op_(op), duration_(op.window.DurationSeconds()) {}
 
-  Status Process(const StreamElement& e, int input_port, double,
-                 std::vector<StreamElement>* out) override {
+  Status ProcessBatch(const data::Batch& in, size_t row_begin, size_t row_end,
+                      int input_port, double, data::Batch* out) override {
     if (input_port < 0 || input_port > 1) {
       return Status::OutOfRange("join input port must be 0 or 1");
     }
     const size_t key_field =
         input_port == 0 ? op_.join_left_key : op_.join_right_key;
-    if (key_field >= e.tuple.values.size()) {
+    if (key_field >= in.NumColumns()) {
       return Status::OutOfRange("join key beyond tuple arity");
     }
-    const Value key = e.tuple.values[key_field];
-    const double t = e.tuple.event_time;
-
     Side& mine = sides_[input_port];
     Side& other = sides_[1 - input_port];
+    for (size_t row = row_begin; row < row_end; ++row) {
+      const Value key = in.ValueAt(row, key_field);
+      const double t = in.event_time(row);
+      // Materialized once: the row probes the other side, then is buffered.
+      Entry e{in.RowTuple(row), in.birth(row), in.attr_id(row)};
 
-    // Evict expired entries from the probed key bucket (time policy).
-    auto other_it = other.buffers.find(key);
-    if (other_it != other.buffers.end()) {
-      auto& buf = other_it->second;
+      // Evict expired entries from the probed key bucket (time policy).
+      auto other_it = other.buffers.find(key);
+      if (other_it != other.buffers.end()) {
+        auto& buf = other_it->second;
+        if (op_.window.policy == WindowPolicy::kTime) {
+          size_t expired = 0;
+          while (expired < buf.size() &&
+                 buf[expired].tuple.event_time < t - duration_) {
+            ++expired;
+          }
+          if (expired > 0) {
+            buf.erase(buf.begin(),
+                      buf.begin() + static_cast<int64_t>(expired));
+            other.total -= expired;
+          }
+        }
+        for (const Entry& match : buf) {
+          const std::vector<Value>& left =
+              (input_port == 0 ? e : match).tuple.values;
+          const std::vector<Value>& right =
+              (input_port == 0 ? match : e).tuple.values;
+          if (left.size() + right.size() != out->NumColumns()) {
+            return ArityMismatch(left.size() + right.size(), *out);
+          }
+          size_t col = 0;
+          for (const Value& v : left) out->AppendValue(col++, v);
+          for (const Value& v : right) out->AppendValue(col++, v);
+          // Attribution follows the earliest contributor (the side latency
+          // is measured against); the buffered partner's residency in the
+          // join window is charged by the simulator when it sees the stale
+          // cursor.
+          out->FinishRow(std::max(t, match.tuple.event_time),
+                         std::min(e.birth, match.birth),
+                         e.birth <= match.birth ? e.attr_id : match.attr_id);
+        }
+        if (buf.empty()) other.buffers.erase(other_it);
+      }
+
+      // Insert into own buffer and evict.
+      auto& own = mine.buffers[key];
+      own.push_back(std::move(e));
+      ++mine.total;
       if (op_.window.policy == WindowPolicy::kTime) {
         size_t expired = 0;
-        while (expired < buf.size() &&
-               buf[expired].tuple.event_time < t - duration_) {
+        while (expired < own.size() &&
+               own[expired].tuple.event_time < t - duration_) {
           ++expired;
         }
         if (expired > 0) {
-          buf.erase(buf.begin(), buf.begin() + static_cast<int64_t>(expired));
-          other.total -= expired;
+          own.erase(own.begin(), own.begin() + static_cast<int64_t>(expired));
+          mine.total -= expired;
         }
-      }
-      for (const StreamElement& match : buf) {
-        StreamElement joined;
-        joined.tuple.event_time = std::max(t, match.tuple.event_time);
-        joined.birth = std::min(e.birth, match.birth);
-        // Attribution follows the earliest contributor (the side latency is
-        // measured against); the buffered partner's residency in the join
-        // window is charged by the simulator when it sees the stale cursor.
-        joined.attr_id = e.birth <= match.birth ? e.attr_id : match.attr_id;
-        const StreamElement& left = input_port == 0 ? e : match;
-        const StreamElement& right = input_port == 0 ? match : e;
-        joined.tuple.values.reserve(left.tuple.values.size() +
-                                    right.tuple.values.size());
-        for (const Value& v : left.tuple.values)
-          joined.tuple.values.push_back(v);
-        for (const Value& v : right.tuple.values)
-          joined.tuple.values.push_back(v);
-        out->push_back(std::move(joined));
-      }
-      if (buf.empty()) other.buffers.erase(other_it);
-    }
-
-    // Insert into own buffer and evict.
-    auto& own = mine.buffers[key];
-    own.push_back(e);
-    ++mine.total;
-    if (op_.window.policy == WindowPolicy::kTime) {
-      size_t expired = 0;
-      while (expired < own.size() &&
-             own[expired].tuple.event_time < t - duration_) {
-        ++expired;
-      }
-      if (expired > 0) {
-        own.erase(own.begin(), own.begin() + static_cast<int64_t>(expired));
-        mine.total -= expired;
-      }
-    } else {
-      const auto cap = static_cast<size_t>(
-          std::max<int64_t>(1, op_.window.length_tuples));
-      while (own.size() > cap) {
-        --mine.total;
-        own.erase(own.begin());
+      } else {
+        const auto cap = static_cast<size_t>(
+            std::max<int64_t>(1, op_.window.length_tuples));
+        while (own.size() > cap) {
+          --mine.total;
+          own.erase(own.begin());
+        }
       }
     }
     return Status::OK();
@@ -499,11 +409,16 @@ class WindowJoinExec : public OperatorInstance {
   }
 
  private:
+  struct Entry {
+    Tuple tuple;
+    double birth;
+    uint32_t attr_id;
+  };
   struct Side {
-    // Per-key buckets hold only a handful of in-window elements each, so a
+    // Per-key buckets hold only a handful of in-window rows each, so a
     // small vector beats a deque (whose minimum allocation is ~512B — with
     // ID-like join keys that caused hundreds of MB of allocator churn).
-    std::map<Value, std::vector<StreamElement>> buffers;
+    std::map<Value, std::vector<Entry>> buffers;
     size_t total = 0;
   };
 
@@ -512,27 +427,26 @@ class WindowJoinExec : public OperatorInstance {
   Side sides_[2];
 };
 
+// Runs a UDO row by row in batch order; its outputs go through
+// UdoContext::Emit, and the per-instance RNG carries across calls.
 class UdoExec : public OperatorInstance {
  public:
   UdoExec(std::unique_ptr<Udo> udo, int instance, uint64_t seed)
       : udo_(std::move(udo)), instance_(instance), rng_(seed) {}
 
-  Status Process(const StreamElement& e, int, double now,
-                 std::vector<StreamElement>* out) override {
+  Status ProcessBatch(const data::Batch& in, size_t row_begin, size_t row_end,
+                      int, double now, data::Batch* out) override {
     UdoContext ctx;
     ctx.now = now;
     ctx.instance = instance_;
     ctx.rng = &rng_;
-    udo_->Process(e, &ctx, out);
-    return Status::OK();
-  }
-
-  void Flush(double now, std::vector<StreamElement>* out) override {
-    UdoContext ctx;
-    ctx.now = now;
-    ctx.instance = instance_;
-    ctx.rng = &rng_;
-    udo_->Flush(&ctx, out);
+    ctx.out = out;
+    for (size_t row = row_begin; row < row_end && ctx.status.ok(); ++row) {
+      const data::RowView view(in, row);
+      ctx.input = &view;
+      udo_->Process(view, &ctx);
+    }
+    return ctx.status;
   }
 
  private:
@@ -543,12 +457,6 @@ class UdoExec : public OperatorInstance {
 
 class SinkExec : public OperatorInstance {
  public:
-  Status Process(const StreamElement& e, int, double,
-                 std::vector<StreamElement>* out) override {
-    out->push_back(e);  // the simulator records latency on sink output
-    return Status::OK();
-  }
-
   Status ProcessBatch(const data::Batch& in, size_t row_begin, size_t row_end,
                       int, double, data::Batch* out) override {
     out->AppendRange(in, row_begin, row_end);
@@ -557,6 +465,16 @@ class SinkExec : public OperatorInstance {
 };
 
 }  // namespace
+
+void UdoContext::Append(const Value* values, size_t n) {
+  if (!status.ok()) return;
+  if (n != out->NumColumns()) {
+    status = ArityMismatch(n, *out);
+    return;
+  }
+  for (size_t col = 0; col < n; ++col) out->AppendValue(col, values[col]);
+  out->FinishRow(input->event_time(), input->birth(), input->attr_id());
+}
 
 Result<std::unique_ptr<OperatorInstance>> CreateOperatorInstance(
     const LogicalPlan& plan, LogicalPlan::OpId op_id, int instance,

@@ -9,7 +9,6 @@
 
 #include <limits>
 #include <memory>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/data/batch.h"
@@ -23,25 +22,21 @@ class OperatorInstance {
  public:
   virtual ~OperatorInstance() = default;
 
-  /// Processes one element arriving on `input_port` (joins: 0 = left,
-  /// 1 = right) at virtual time `now`; appends outputs to *out.
-  virtual Status Process(const StreamElement& element, int input_port,
-                         double now, std::vector<StreamElement>* out) = 0;
-
-  /// Processes rows [row_begin, row_end) of a columnar batch, appending
-  /// output rows to *out (whose layout is this operator's output layout).
-  /// The base implementation materializes each row into a StreamElement and
-  /// delegates to Process — the row-view adapter stateful operators and
-  /// UDOs rely on. Vectorizable operators (filter, map, flatMap, window
-  /// aggregation, sink) override it with columnar kernels
-  /// (src/runtime/kernels.h) that are bit-identical to the scalar path:
-  /// same outputs, same order, same RNG draw sequence.
+  /// Processes rows [row_begin, row_end) of a columnar batch arriving on
+  /// `input_port` (joins: 0 = left, 1 = right) at virtual time `now`,
+  /// appending output rows to *out (whose layout is this operator's output
+  /// layout). Filter, map, flatMap, window aggregation and sink run
+  /// columnar kernels (src/runtime/kernels.h); joins and UDOs read the
+  /// batch row by row. Results are independent of how a firing's rows are
+  /// split across calls: same outputs, same order, same RNG draw sequence.
   virtual Status ProcessBatch(const data::Batch& in, size_t row_begin,
                               size_t row_end, int input_port, double now,
-                              data::Batch* out);
+                              data::Batch* out) = 0;
 
-  /// Fires any timers due at or before `now` (window pane emission).
-  virtual void OnTimer(double now, std::vector<StreamElement>* out) {
+  /// Fires any timers due at or before `now` (window pane emission),
+  /// appending the fired rows to *out. OnTimer(+infinity) fires everything
+  /// pending, which is what the end-of-stream watermark does.
+  virtual void OnTimer(double now, data::Batch* out) {
     (void)now;
     (void)out;
   }
@@ -51,14 +46,8 @@ class OperatorInstance {
     return std::numeric_limits<double>::infinity();
   }
 
-  /// Emits whatever partial state remains at end of stream.
-  virtual void Flush(double now, std::vector<StreamElement>* out) {
-    (void)now;
-    (void)out;
-  }
-
-  /// Elements currently buffered in operator state (windows/joins); used by
-  /// the simulator to account for state-size effects and by tests.
+  /// Rows currently buffered in operator state (windows/joins); read by
+  /// tests, not by the simulator.
   virtual size_t StateSize() const { return 0; }
 
   /// Elements dropped because they arrived after their window had already

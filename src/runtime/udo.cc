@@ -8,18 +8,16 @@ namespace {
 
 class NoopUdo : public Udo {
  public:
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    out->push_back(e);
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    ctx->Emit(row.ToTuple().values);
   }
 };
 
 class SampleUdo : public Udo {
  public:
   explicit SampleUdo(double keep) : keep_(keep) {}
-  void Process(const StreamElement& e, UdoContext* ctx,
-               std::vector<StreamElement>* out) override {
-    if (ctx->rng->Bernoulli(keep_)) out->push_back(e);
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    if (ctx->rng->Bernoulli(keep_)) ctx->Emit(row.ToTuple().values);
   }
 
  private:
@@ -29,12 +27,12 @@ class SampleUdo : public Udo {
 class ReplicateUdo : public Udo {
  public:
   explicit ReplicateUdo(double fanout) : fanout_(fanout) {}
-  void Process(const StreamElement& e, UdoContext* ctx,
-               std::vector<StreamElement>* out) override {
+  void Process(const data::RowView& row, UdoContext* ctx) override {
     const auto whole = static_cast<int64_t>(fanout_);
     int64_t copies = whole;
     copies += ctx->rng->Bernoulli(fanout_ - static_cast<double>(whole)) ? 1 : 0;
-    for (int64_t i = 0; i < copies; ++i) out->push_back(e);
+    const Tuple tuple = row.ToTuple();
+    for (int64_t i = 0; i < copies; ++i) ctx->Emit(tuple.values);
   }
 
  private:
@@ -43,13 +41,12 @@ class ReplicateUdo : public Udo {
 
 class KeyCountUdo : public Udo {
  public:
-  void Process(const StreamElement& e, UdoContext*,
-               std::vector<StreamElement>* out) override {
-    if (e.tuple.values.empty()) return;
-    const int64_t count = ++counts_[e.tuple.values[0]];
-    StreamElement result = e;
-    result.tuple.values.push_back(Value(count));
-    out->push_back(std::move(result));
+  void Process(const data::RowView& row, UdoContext* ctx) override {
+    if (row.NumValues() == 0) return;
+    std::vector<Value> values = row.ToTuple().values;
+    const int64_t count = ++counts_[values[0]];
+    values.push_back(Value(count));
+    ctx->Emit(values);
   }
 
  private:

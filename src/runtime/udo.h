@@ -8,6 +8,7 @@
 #define PDSP_RUNTIME_UDO_H_
 
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -17,16 +18,36 @@
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
+#include "src/data/batch.h"
 #include "src/query/plan.h"
-#include "src/runtime/element.h"
 
 namespace pdsp {
 
-/// \brief Per-call context handed to a UDO.
+/// \brief Per-row context handed to a UDO. The runtime points `input` at
+/// the row being processed and `out` at the operator's output batch before
+/// every Process call.
 struct UdoContext {
   double now = 0.0;   ///< current virtual time
   int instance = 0;   ///< this parallel instance's index
   Rng* rng = nullptr; ///< instance-local deterministic RNG
+  const data::RowView* input = nullptr;  ///< the row being processed
+  data::Batch* out = nullptr;            ///< where Emit appends
+  /// OK, or the first emitted row whose arity disagreed with the output
+  /// schema (Status::Internal); the runtime fails the firing with it.
+  Status status;
+
+  /// Appends one output row carrying the input row's event time, birth and
+  /// attribution handle (latency stays measured against the earliest
+  /// contributing source tuple). A row of the wrong arity is not appended.
+  void Emit(std::initializer_list<Value> values) {
+    Append(values.begin(), values.size());
+  }
+  void Emit(const std::vector<Value>& values) {
+    Append(values.data(), values.size());
+  }
+
+ private:
+  void Append(const Value* values, size_t n);
 };
 
 /// \brief One parallel instance of a user-defined operator. Implementations
@@ -35,15 +56,8 @@ class Udo {
  public:
   virtual ~Udo() = default;
 
-  /// Processes one element; appends zero or more outputs.
-  virtual void Process(const StreamElement& element, UdoContext* ctx,
-                       std::vector<StreamElement>* out) = 0;
-
-  /// Emits any buffered partial results at end of stream.
-  virtual void Flush(UdoContext* ctx, std::vector<StreamElement>* out) {
-    (void)ctx;
-    (void)out;
-  }
+  /// Processes one input row, emitting zero or more outputs through ctx.
+  virtual void Process(const data::RowView& row, UdoContext* ctx) = 0;
 };
 
 using UdoFactory =

@@ -196,8 +196,8 @@ class Engine {
   /// Hash partitioning runs the columnar partition kernel (hash the key
   /// column once, scatter row indices, gather each destination's rows in
   /// one pass); rebalance and forward reduce to index arithmetic plus a
-  /// range copy. Destination order and per-destination row order match the
-  /// scalar per-element router exactly. Every sub-batch carries
+  /// range copy. Destination order and per-destination row order are those
+  /// of routing each row on its own, in row order. Every sub-batch carries
   /// `sender_wm`; when `broadcast_wm` is set, destinations that received no
   /// data still get a watermark-only batch (Flink's periodic watermark
   /// emission). Deliveries go to `deliveries_` in ascending destination
@@ -257,12 +257,12 @@ class Engine {
   std::vector<uint32_t> op_layout_id_;
   BatchPool pool_;
   // Per-firing scratch, reused across firings: one output batch per
-  // layout, the planned deliveries, fired timer elements, per-destination
-  // row selections, and each destination's sub-batch in the group being
-  // routed (kNoBatch when untouched) with the list of touched destinations.
+  // layout (operators and fired timers append into it), the planned
+  // deliveries, per-destination row selections, and each destination's
+  // sub-batch in the group being routed (kNoBatch when untouched) with the
+  // list of touched destinations.
   std::vector<data::Batch> out_scratch_;
   std::vector<PlannedDelivery> deliveries_;
-  std::vector<StreamElement> fired_;
   std::vector<data::SelectionVector> parts_;
   std::vector<uint32_t> dest_batch_;
   std::vector<int> touched_;
@@ -303,9 +303,9 @@ class Engine {
   // Per-logical-operator latency-component accumulators (moved into
   // OperatorRunStats::latency at aggregation time).
   std::vector<OperatorLatencyStats> op_latency_;
-  // Attribution records, one per tracked source element; derived elements
-  // share their earliest contributor's record (StreamElement::attr_id).
-  // Kept engine-side so elements stay small when attribution is off.
+  // Attribution records, one per tracked source row; derived rows share
+  // their earliest contributor's record (data::Batch::attr_id). Kept
+  // engine-side so rows stay small when attribution is off.
   static constexpr size_t kAttrPoolCap = 4'000'000;
   std::vector<LatencyAttr> attr_pool_;
   // Sink-side breakdown sums over post-warm-up records.
@@ -532,8 +532,7 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
           sub_batch(pt.instance).rows.AppendRange(outputs, 0, n);
           break;
         case Partitioning::kRebalance: {
-          // Row i goes to (cursor + i) % p — the scalar router's
-          // per-element round robin, batched.
+          // Row i goes to (cursor + i) % p: per-row round robin, batched.
           const size_t cursor = state.rr_cursor[gi];
           state.rr_cursor[gi] += n;
           // Buckets keep their storage across calls (never shrunk here).
@@ -556,8 +555,7 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
                                             kernel_partition_id_);
           // The effective key field is batch-wide (fixed arity): fall back
           // to field 0 when the declared key is absent, and to destination
-          // 0 for zero-arity tuples — exactly the scalar router's per-
-          // element fallback.
+          // 0 for zero-arity tuples.
           const size_t arity = outputs.NumColumns();
           const size_t f =
               key_field != OperatorDescriptor::kNoKey && key_field < arity
@@ -802,11 +800,7 @@ Status Engine::ProcessOne(int task, double now) {
     timer_fire = true;
     obs::prof::ProfScope kernel_scope(obs::prof::FrameKind::kKernel,
                                       kernel_fire_id_);
-    fired_.clear();
-    state.instance->OnTimer(state.input_wm, &fired_);
-    for (const StreamElement& e : fired_) {
-      outputs.AppendTuple(e.tuple, e.birth, e.attr_id);
-    }
+    state.instance->OnTimer(state.input_wm, &outputs);
     cost = costs_.BatchCost(op);
   } else {
     obs::prof::ProfScope kernel_scope(obs::prof::FrameKind::kKernel,

@@ -7,6 +7,7 @@
 #include "src/runtime/operators.h"
 #include "src/runtime/udo.h"
 #include "src/sim/simulation.h"
+#include "tests/testing/operator_driver.h"
 
 namespace pdsp {
 namespace {
@@ -152,32 +153,21 @@ TEST(AppUdosTest, AllKindsRegistered) {
 
 // Direct behavioural checks of selected UDOs through the plan runtime.
 
-StreamElement Elem(std::vector<Value> values, double t = 0.0) {
-  StreamElement e;
-  e.tuple.values = std::move(values);
-  e.tuple.event_time = t;
-  e.birth = t;
-  return e;
-}
+using testing::MakeRow;
 
-std::unique_ptr<OperatorInstance> AppUdoInstance(AppId app,
-                                                 const char* op_name) {
+testing::OperatorDriver AppUdoInstance(AppId app, const char* op_name) {
   AppOptions opt;
   auto plan = MakeApp(app, opt);
   EXPECT_TRUE(plan.ok());
-  static LogicalPlan kept;
-  kept = std::move(*plan);
-  auto id = kept.FindOperator(op_name);
-  EXPECT_TRUE(id.ok()) << op_name;
-  auto inst = CreateOperatorInstance(kept, *id, 0, 1);
-  EXPECT_TRUE(inst.ok()) << inst.status().ToString();
+  auto inst = testing::DriveOperator(*plan, op_name);
+  EXPECT_TRUE(inst.ok()) << op_name << ": " << inst.status().ToString();
   return std::move(*inst);
 }
 
 TEST(AppUdosTest, TokenizerSplitsSentences) {
   auto inst = AppUdoInstance(AppId::kWordCount, "tokenize");
-  std::vector<StreamElement> out;
-  ASSERT_TRUE(inst->Process(Elem({Value("ba ce di")}), 0, 0.0, &out).ok());
+  auto& out = inst.out();
+  ASSERT_TRUE(inst.Push(MakeRow({Value("ba ce di")}), 0, 0.0).ok());
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].tuple.values[0].AsString(), "ba");
   EXPECT_EQ(out[0].tuple.values[1].AsInt(), 1);
@@ -195,10 +185,9 @@ TEST(AppUdosTest, SentimentScoreSumsLexicon) {
   }
   ASSERT_FALSE(pos_word.empty());
   ASSERT_FALSE(neg_word.empty());
-  std::vector<StreamElement> out;
+  auto& out = inst.out();
   const std::string text = pos_word + " " + pos_word + " " + neg_word;
-  ASSERT_TRUE(
-      inst->Process(Elem({Value(200), Value(text)}), 0, 0.0, &out).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(200), Value(text)}), 0, 0.0).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].tuple.values[0].AsInt(), 200 % 128);  // user shard
   EXPECT_DOUBLE_EQ(out[0].tuple.values[1].AsDouble(), 1.0);
@@ -207,15 +196,13 @@ TEST(AppUdosTest, SentimentScoreSumsLexicon) {
 
 TEST(AppUdosTest, SpikeDetectorFiresOnSpikes) {
   auto inst = AppUdoInstance(AppId::kSpikeDetection, "spike_detect");
-  std::vector<StreamElement> out;
+  auto& out = inst.out();
   // Warm up with a steady signal, then spike.
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(
-        inst->Process(Elem({Value(7), Value(50.0)}), 0, 0.0, &out).ok());
+    ASSERT_TRUE(inst.Push(MakeRow({Value(7), Value(50.0)}), 0, 0.0).ok());
   }
   EXPECT_TRUE(out.empty());  // steady signal: no spikes
-  ASSERT_TRUE(
-      inst->Process(Elem({Value(7), Value(90.0)}), 0, 0.0, &out).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(7), Value(90.0)}), 0, 0.0).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].tuple.values[1].AsDouble(), 90.0);
   EXPECT_NEAR(out[0].tuple.values[2].AsDouble(), 50.0, 1e-9);
@@ -223,31 +210,26 @@ TEST(AppUdosTest, SpikeDetectorFiresOnSpikes) {
 
 TEST(AppUdosTest, DedupPassesFirstOccurrenceOnly) {
   auto inst = AppUdoInstance(AppId::kClickAnalytics, "dedup");
-  std::vector<StreamElement> out;
-  ASSERT_TRUE(
-      inst->Process(Elem({Value(1), Value("ba")}), 0, 0.0, &out).ok());
-  ASSERT_TRUE(
-      inst->Process(Elem({Value(1), Value("ba")}), 0, 0.0, &out).ok());
-  ASSERT_TRUE(
-      inst->Process(Elem({Value(2), Value("ba")}), 0, 0.0, &out).ok());
+  auto& out = inst.out();
+  ASSERT_TRUE(inst.Push(MakeRow({Value(1), Value("ba")}), 0, 0.0).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(1), Value("ba")}), 0, 0.0).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(2), Value("ba")}), 0, 0.0).ok());
   ASSERT_EQ(out.size(), 2u);  // duplicate (1, ba) suppressed
   EXPECT_EQ(out[0].tuple.values[0].AsString(), "ba");
 }
 
 TEST(AppUdosTest, TollOnlyForCongestedSegments) {
   auto inst = AppUdoInstance(AppId::kLinearRoad, "toll");
-  std::vector<StreamElement> out;
+  auto& out = inst.out();
   // Segment free-flow thresholds derive from the segment id (30..70).
   const double threshold =
       30.0 + static_cast<double>(Value(12).Hash() % 41);
   // Window agg output shape: (segment, avg_speed).
-  ASSERT_TRUE(inst->Process(Elem({Value(12), Value(threshold + 5.0)}), 0,
-                            0.0, &out)
-                  .ok());
+  ASSERT_TRUE(
+      inst.Push(MakeRow({Value(12), Value(threshold + 5.0)}), 0, 0.0).ok());
   EXPECT_TRUE(out.empty());  // fast segment: no toll
-  ASSERT_TRUE(inst->Process(Elem({Value(12), Value(threshold - 20.0)}), 0,
-                            0.0, &out)
-                  .ok());
+  ASSERT_TRUE(
+      inst.Push(MakeRow({Value(12), Value(threshold - 20.0)}), 0, 0.0).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].tuple.values[1].AsDouble(),
                    2.0 * 20.0 * 20.0 / 100.0);
@@ -255,38 +237,41 @@ TEST(AppUdosTest, TollOnlyForCongestedSegments) {
 
 TEST(AppUdosTest, FraudScoreFlagsUnusualTransitions) {
   auto inst = AppUdoInstance(AppId::kFraudDetection, "fraud_score");
-  std::vector<StreamElement> out;
+  auto& out = inst.out();
   // Repeat the same location transition to make it "normal".
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(inst->Process(Elem({Value(9), Value(100.0), Value(3)}), 0,
-                              0.0, &out).ok());
+    ASSERT_TRUE(
+        inst.Push(MakeRow({Value(9), Value(100.0), Value(3)}), 0, 0.0).ok());
   }
   const size_t before = out.size();
   // A never-seen location transition must be flagged.
-  ASSERT_TRUE(inst->Process(Elem({Value(9), Value(100.0), Value(47)}), 0,
-                            0.0, &out).ok());
+  ASSERT_TRUE(
+      inst.Push(MakeRow({Value(9), Value(100.0), Value(47)}), 0, 0.0).ok());
   EXPECT_EQ(out.size(), before + 1);
   EXPECT_LT(out.back().tuple.values[2].AsDouble(), 0.12);
 }
 
 TEST(AppUdosTest, TpchDiscPriceComputesDerivedColumn) {
   auto inst = AppUdoInstance(AppId::kTpcH, "disc_price");
-  std::vector<StreamElement> out;
-  ASSERT_TRUE(inst->Process(
-      Elem({Value(1), Value(10.0), Value(1000.0), Value(0.1), Value(30)}), 0,
-      0.0, &out).ok());
+  auto& out = inst.out();
+  ASSERT_TRUE(inst.Push(MakeRow({Value(1), Value(10.0), Value(1000.0),
+                                 Value(0.1), Value(30)}),
+                        0, 0.0)
+                  .ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].tuple.values[1].AsDouble(), 900.0);
 }
 
 TEST(AppUdosTest, MapMatchAssignsStableRoads) {
   auto inst = AppUdoInstance(AppId::kTrafficMonitoring, "map_match");
-  std::vector<StreamElement> out;
-  ASSERT_TRUE(inst->Process(
-      Elem({Value(1), Value(48.5), Value(8.5), Value(80.0)}), 0, 0.0, &out)
+  auto& out = inst.out();
+  ASSERT_TRUE(
+      inst.Push(MakeRow({Value(1), Value(48.5), Value(8.5), Value(80.0)}), 0,
+                0.0)
           .ok());
-  ASSERT_TRUE(inst->Process(
-      Elem({Value(2), Value(48.5), Value(8.5), Value(60.0)}), 0, 0.0, &out)
+  ASSERT_TRUE(
+      inst.Push(MakeRow({Value(2), Value(48.5), Value(8.5), Value(60.0)}), 0,
+                0.0)
           .ok());
   ASSERT_EQ(out.size(), 2u);
   // Same position -> same road id.

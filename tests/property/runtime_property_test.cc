@@ -8,20 +8,19 @@
 #include <cmath>
 
 #include "src/runtime/operators.h"
+#include "tests/testing/operator_driver.h"
 #include "tests/testing/test_plans.h"
 
 namespace pdsp {
 namespace {
 
+using testing::DriveOperator;
 using testing::KeyValueStream;
 using testing::PoissonArrival;
+using testing::Row;
 
-StreamElement Elem(int64_t key, double val, double t) {
-  StreamElement e;
-  e.tuple.values = {Value(key), Value(val)};
-  e.tuple.event_time = t;
-  e.birth = t;
-  return e;
+Row Elem(int64_t key, double val, double t) {
+  return testing::MakeRow({Value(key), Value(val)}, t);
 }
 
 LogicalPlan* AggPlan(WindowSpec win, AggregateFn fn) {
@@ -41,25 +40,24 @@ TEST(AggConservationTest, TumblingSumIsLossless) {
   WindowSpec win;
   win.duration_ms = 1000.0;
   LogicalPlan* plan = AggPlan(win, AggregateFn::kSum);
-  auto inst = CreateOperatorInstance(*plan, *plan->FindOperator("agg"), 0, 1);
+  auto inst = DriveOperator(*plan, "agg");
   ASSERT_TRUE(inst.ok());
   Rng rng(5);
   double total_in = 0.0;
-  std::vector<StreamElement> out;
+  const auto& out = inst->out();
   for (int i = 0; i < 5000; ++i) {
     const double v = rng.Uniform(0.0, 10.0);
     const double t = rng.Uniform(0.0, 10.0);
     total_in += v;
-    ASSERT_TRUE(
-        (*inst)->Process(Elem(rng.UniformInt(1, 50), v, t), 0, t, &out).ok());
+    ASSERT_TRUE(inst->Push(Elem(rng.UniformInt(1, 50), v, t), 0, t).ok());
   }
-  (*inst)->Flush(11.0, &out);
+  inst->Flush();
   double total_out = 0.0;
-  for (const StreamElement& e : out) {
+  for (const Row& e : out) {
     total_out += e.tuple.values[1].AsDouble();
   }
   EXPECT_NEAR(total_out, total_in, 1e-6);
-  EXPECT_EQ((*inst)->LateDrops(), 0);
+  EXPECT_EQ(inst->op()->LateDrops(), 0);
 }
 
 // Sliding windows with slide ratio r count every element 1/r times.
@@ -69,22 +67,21 @@ TEST(AggConservationTest, SlidingOverlapMultiplicity) {
   win.duration_ms = 1000.0;
   win.slide_ratio = 0.5;  // every element in exactly 2 panes
   LogicalPlan* plan = AggPlan(win, AggregateFn::kSum);
-  auto inst = CreateOperatorInstance(*plan, *plan->FindOperator("agg"), 0, 1);
+  auto inst = DriveOperator(*plan, "agg");
   ASSERT_TRUE(inst.ok());
   Rng rng(7);
   double total_in = 0.0;
-  std::vector<StreamElement> out;
+  const auto& out = inst->out();
   for (int i = 0; i < 3000; ++i) {
     const double v = rng.Uniform(0.0, 10.0);
     // Keep away from t=0 so every element has both panes available.
     const double t = rng.Uniform(1.0, 9.0);
     total_in += v;
-    ASSERT_TRUE(
-        (*inst)->Process(Elem(rng.UniformInt(1, 20), v, t), 0, t, &out).ok());
+    ASSERT_TRUE(inst->Push(Elem(rng.UniformInt(1, 20), v, t), 0, t).ok());
   }
-  (*inst)->Flush(11.0, &out);
+  inst->Flush();
   double total_out = 0.0;
-  for (const StreamElement& e : out) {
+  for (const Row& e : out) {
     total_out += e.tuple.values[1].AsDouble();
   }
   EXPECT_NEAR(total_out, 2.0 * total_in, 1e-6);
@@ -95,7 +92,7 @@ TEST(AggOrderingTest, MinAvgMaxOrdered) {
   WindowSpec win;
   win.duration_ms = 500.0;
   Rng rng(11);
-  std::vector<StreamElement> inputs;
+  std::vector<Row> inputs;
   for (int i = 0; i < 2000; ++i) {
     inputs.push_back(Elem(rng.UniformInt(1, 10), rng.Uniform(-5.0, 5.0),
                           rng.Uniform(0.0, 4.0)));
@@ -104,15 +101,13 @@ TEST(AggOrderingTest, MinAvgMaxOrdered) {
   for (AggregateFn fn :
        {AggregateFn::kMin, AggregateFn::kAvg, AggregateFn::kMax}) {
     LogicalPlan* plan = AggPlan(win, fn);
-    auto inst =
-        CreateOperatorInstance(*plan, *plan->FindOperator("agg"), 0, 1);
+    auto inst = DriveOperator(*plan, "agg");
     ASSERT_TRUE(inst.ok());
-    std::vector<StreamElement> out;
-    for (const StreamElement& e : inputs) {
-      ASSERT_TRUE((*inst)->Process(e, 0, e.tuple.event_time, &out).ok());
+    for (const Row& e : inputs) {
+      ASSERT_TRUE(inst->Push(e, 0, e.tuple.event_time).ok());
     }
-    (*inst)->Flush(10.0, &out);
-    for (const StreamElement& e : out) {
+    inst->Flush();
+    for (const Row& e : inst->out()) {
       results[{e.tuple.values[0].AsInt(), e.tuple.event_time}][fn] =
           e.tuple.values[1].AsDouble();
     }
@@ -142,7 +137,7 @@ TEST(JoinSymmetryTest, PortSwapPreservesMatchCount) {
 
   Rng rng(13);
   struct Input {
-    StreamElement e;
+    Row e;
     int port;
   };
   std::vector<Input> inputs;
@@ -155,13 +150,12 @@ TEST(JoinSymmetryTest, PortSwapPreservesMatchCount) {
   }
   size_t matches[2] = {0, 0};
   for (int swap : {0, 1}) {
-    auto inst = CreateOperatorInstance(kept, *kept.FindOperator("j"), 0, 1);
+    auto inst = DriveOperator(kept, "j");
     ASSERT_TRUE(inst.ok());
-    std::vector<StreamElement> out;
+    const auto& out = inst->out();
     for (const Input& in : inputs) {
-      ASSERT_TRUE((*inst)
-                      ->Process(in.e, swap ? 1 - in.port : in.port,
-                                in.e.tuple.event_time, &out)
+      ASSERT_TRUE(inst->Push(in.e, swap ? 1 - in.port : in.port,
+                             in.e.tuple.event_time)
                       .ok());
     }
     matches[swap] = out.size();
@@ -185,18 +179,17 @@ TEST(FilterPartitionTest, ComplementaryPredicatesCoverInput) {
   auto plan_ge = b2.Build();
   ASSERT_TRUE(plan_ge.ok());
 
-  auto lt = CreateOperatorInstance(*plan_lt, *plan_lt->FindOperator("lt"), 0,
-                                   1);
-  auto ge = CreateOperatorInstance(*plan_ge, *plan_ge->FindOperator("ge"), 0,
-                                   1);
+  auto lt = DriveOperator(*plan_lt, "lt");
+  auto ge = DriveOperator(*plan_ge, "ge");
   ASSERT_TRUE(lt.ok() && ge.ok());
   Rng rng(17);
-  std::vector<StreamElement> out_lt, out_ge;
+  const auto& out_lt = lt->out();
+  const auto& out_ge = ge->out();
   const int n = 10000;
   for (int i = 0; i < n; ++i) {
-    StreamElement e = Elem(1, rng.Uniform(0.0, 100.0), 0.0);
-    ASSERT_TRUE((*lt)->Process(e, 0, 0.0, &out_lt).ok());
-    ASSERT_TRUE((*ge)->Process(e, 0, 0.0, &out_ge).ok());
+    const Row e = Elem(1, rng.Uniform(0.0, 100.0), 0.0);
+    ASSERT_TRUE(lt->Push(e, 0, 0.0).ok());
+    ASSERT_TRUE(ge->Push(e, 0, 0.0).ok());
   }
   EXPECT_EQ(out_lt.size() + out_ge.size(), static_cast<size_t>(n));
 }
@@ -208,15 +201,14 @@ TEST(CountWindowTest, TumblingFiresEveryLength) {
   win.policy = WindowPolicy::kCount;
   win.length_tuples = 7;
   LogicalPlan* plan = AggPlan(win, AggregateFn::kSum);
-  auto inst = CreateOperatorInstance(*plan, *plan->FindOperator("agg"), 0, 1);
+  auto inst = DriveOperator(*plan, "agg");
   ASSERT_TRUE(inst.ok());
-  std::vector<StreamElement> out;
+  const auto& out = inst->out();
   for (int i = 0; i < 70; ++i) {
-    ASSERT_TRUE((*inst)->Process(Elem(1, 1.0, i * 0.01), 0, i * 0.01, &out)
-                    .ok());
+    ASSERT_TRUE(inst->Push(Elem(1, 1.0, i * 0.01), 0, i * 0.01).ok());
   }
   ASSERT_EQ(out.size(), 10u);
-  for (const StreamElement& e : out) {
+  for (const Row& e : out) {
     EXPECT_DOUBLE_EQ(e.tuple.values[1].AsDouble(), 7.0);
   }
 }

@@ -4,37 +4,28 @@
 
 #include <cmath>
 
+#include "tests/testing/operator_driver.h"
 #include "tests/testing/test_plans.h"
 
 namespace pdsp {
 namespace {
 
+using testing::DriveOperator;
 using testing::KeyValueStream;
+using testing::MakeRow;
+using testing::OperatorDriver;
 using testing::PoissonArrival;
 
-StreamElement MakeElement(std::vector<Value> values, double t) {
-  StreamElement e;
-  e.tuple.values = std::move(values);
-  e.tuple.event_time = t;
-  e.birth = t;
-  return e;
-}
-
-// Builds a plan with one operator of interest and returns its instance.
-std::unique_ptr<OperatorInstance> MakeAggInstance(WindowSpec win,
-                                                  AggregateFn fn,
-                                                  size_t agg_field,
-                                                  size_t key_field) {
+// Builds a plan with one operator of interest and returns its driver.
+OperatorDriver MakeAggInstance(WindowSpec win, AggregateFn fn,
+                               size_t agg_field, size_t key_field) {
   PlanBuilder b;
   auto s = b.Source("s", KeyValueStream(), PoissonArrival(100));
   auto a = b.WindowAggregate("agg", s, win, fn, agg_field, key_field);
   b.Sink("k", a);
   auto plan = b.Build();
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-  static LogicalPlan kept;  // keep alive for descriptor reference
-  kept = std::move(*plan);
-  auto aid = kept.FindOperator("agg");
-  auto inst = CreateOperatorInstance(kept, *aid, 0, 1);
+  auto inst = DriveOperator(*plan, "agg");
   EXPECT_TRUE(inst.ok()) << inst.status().ToString();
   return std::move(*inst);
 }
@@ -56,18 +47,13 @@ TEST(FilterExecTest, PassesAndDrops) {
   b.Sink("k", f);
   auto plan = b.Build();
   ASSERT_TRUE(plan.ok());
-  auto fid = plan->FindOperator("f");
-  auto inst = CreateOperatorInstance(*plan, *fid, 0, 1);
+  auto inst = DriveOperator(*plan, "f");
   ASSERT_TRUE(inst.ok());
 
-  std::vector<StreamElement> out;
-  ASSERT_TRUE(
-      (*inst)->Process(MakeElement({Value(1), Value(60.0)}, 0.0), 0, 0.0, &out)
-          .ok());
+  auto& out = inst->out();
+  ASSERT_TRUE(inst->Push(MakeRow({Value(1), Value(60.0)}, 0.0), 0, 0.0).ok());
   EXPECT_EQ(out.size(), 1u);
-  ASSERT_TRUE(
-      (*inst)->Process(MakeElement({Value(1), Value(40.0)}, 0.0), 0, 0.0, &out)
-          .ok());
+  ASSERT_TRUE(inst->Push(MakeRow({Value(1), Value(40.0)}, 0.0), 0, 0.0).ok());
   EXPECT_EQ(out.size(), 1u);  // dropped
 }
 
@@ -78,13 +64,10 @@ TEST(FilterExecTest, FieldBeyondArityIsError) {
   b.Sink("k", f);
   auto plan = b.Build();
   ASSERT_TRUE(plan.ok());
-  auto inst = CreateOperatorInstance(*plan, *plan->FindOperator("f"), 0, 1);
+  auto inst = DriveOperator(*plan, "f");
   ASSERT_TRUE(inst.ok());
-  std::vector<StreamElement> out;
   // Tuple with only one value: filter field 1 is out of range.
-  EXPECT_TRUE((*inst)
-                  ->Process(MakeElement({Value(1)}, 0.0), 0, 0.0, &out)
-                  .IsOutOfRange());
+  EXPECT_TRUE(inst->Push(MakeRow({Value(1)}, 0.0), 0, 0.0).IsOutOfRange());
 }
 
 TEST(SourceInstanceIsInvalid, CreateFails) {
@@ -103,17 +86,14 @@ TEST(TimeWindowAggTest, TumblingSumPerKey) {
   win.duration_ms = 1000.0;
   auto inst = MakeAggInstance(win, AggregateFn::kSum, 1, 0);
 
-  std::vector<StreamElement> out;
+  auto& out = inst.out();
   // Window [0,1): key 1 gets 10+20, key 2 gets 5.
-  ASSERT_TRUE(inst->Process(MakeElement({Value(1), Value(10.0)}, 0.1), 0, 0.1,
-                            &out).ok());
-  ASSERT_TRUE(inst->Process(MakeElement({Value(1), Value(20.0)}, 0.5), 0, 0.5,
-                            &out).ok());
-  ASSERT_TRUE(inst->Process(MakeElement({Value(2), Value(5.0)}, 0.9), 0, 0.9,
-                            &out).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(1), Value(10.0)}, 0.1), 0, 0.1).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(1), Value(20.0)}, 0.5), 0, 0.5).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(2), Value(5.0)}, 0.9), 0, 0.9).ok());
   EXPECT_TRUE(out.empty());  // nothing fires before the pane ends
-  EXPECT_EQ(inst->NextTimerTime(), 1.0);
-  inst->OnTimer(1.0, &out);
+  EXPECT_EQ(inst.op()->NextTimerTime(), 1.0);
+  inst.Fire(1.0);
   ASSERT_EQ(out.size(), 2u);
   // Results: (key, agg), event_time = pane end.
   double sum_key1 = -1, sum_key2 = -1;
@@ -130,13 +110,12 @@ TEST(TimeWindowAggTest, BirthIsEarliestContributor) {
   WindowSpec win;
   win.duration_ms = 1000.0;
   auto inst = MakeAggInstance(win, AggregateFn::kSum, 1, 0);
-  std::vector<StreamElement> out;
-  StreamElement early = MakeElement({Value(1), Value(1.0)}, 0.2);
+  auto& out = inst.out();
+  testing::Row early = MakeRow({Value(1), Value(1.0)}, 0.2);
   early.birth = 0.05;  // produced earlier upstream
-  ASSERT_TRUE(inst->Process(early, 0, 0.2, &out).ok());
-  ASSERT_TRUE(inst->Process(MakeElement({Value(1), Value(2.0)}, 0.8), 0, 0.8,
-                            &out).ok());
-  inst->OnTimer(1.0, &out);
+  ASSERT_TRUE(inst.Push(early, 0, 0.2).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(1), Value(2.0)}, 0.8), 0, 0.8).ok());
+  inst.Fire(1.0);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].birth, 0.05);
 }
@@ -147,11 +126,10 @@ TEST(TimeWindowAggTest, SlidingElementInMultiplePanes) {
   win.duration_ms = 1000.0;
   win.slide_ratio = 0.5;  // slide 0.5s -> each element in 2 panes
   auto inst = MakeAggInstance(win, AggregateFn::kSum, 1, 0);
-  std::vector<StreamElement> out;
-  ASSERT_TRUE(inst->Process(MakeElement({Value(1), Value(10.0)}, 0.75), 0,
-                            0.75, &out).ok());
+  auto& out = inst.out();
+  ASSERT_TRUE(inst.Push(MakeRow({Value(1), Value(10.0)}, 0.75), 0, 0.75).ok());
   // Element at 0.75 belongs to panes [0.0,1.0) and [0.5,1.5).
-  inst->OnTimer(2.0, &out);
+  inst.Fire(2.0);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_DOUBLE_EQ(out[0].tuple.values[1].AsDouble(), 10.0);
   EXPECT_DOUBLE_EQ(out[1].tuple.values[1].AsDouble(), 10.0);
@@ -162,12 +140,10 @@ TEST(TimeWindowAggTest, GlobalWindowHasNoKeyColumn) {
   win.duration_ms = 1000.0;
   auto inst = MakeAggInstance(win, AggregateFn::kAvg, 1,
                               OperatorDescriptor::kNoKey);
-  std::vector<StreamElement> out;
-  ASSERT_TRUE(inst->Process(MakeElement({Value(1), Value(10.0)}, 0.1), 0, 0.1,
-                            &out).ok());
-  ASSERT_TRUE(inst->Process(MakeElement({Value(2), Value(20.0)}, 0.2), 0, 0.2,
-                            &out).ok());
-  inst->OnTimer(1.0, &out);
+  auto& out = inst.out();
+  ASSERT_TRUE(inst.Push(MakeRow({Value(1), Value(10.0)}, 0.1), 0, 0.1).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(2), Value(20.0)}, 0.2), 0, 0.2).ok());
+  inst.Fire(1.0);
   ASSERT_EQ(out.size(), 1u);
   ASSERT_EQ(out[0].tuple.values.size(), 1u);  // only the aggregate
   EXPECT_DOUBLE_EQ(out[0].tuple.values[0].AsDouble(), 15.0);
@@ -179,12 +155,11 @@ TEST(TimeWindowAggTest, MinMaxFns) {
     WindowSpec win;
     win.duration_ms = 1000.0;
     auto inst = MakeAggInstance(win, fn, 1, 0);
-    std::vector<StreamElement> out;
+    auto& out = inst.out();
     for (double v : {5.0, 3.0, 9.0}) {
-      ASSERT_TRUE(inst->Process(MakeElement({Value(1), Value(v)}, 0.5), 0, 0.5,
-                                &out).ok());
+      ASSERT_TRUE(inst.Push(MakeRow({Value(1), Value(v)}, 0.5), 0, 0.5).ok());
     }
-    inst->OnTimer(1.0, &out);
+    inst.Fire(1.0);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_DOUBLE_EQ(out[0].tuple.values[1].AsDouble(), expected);
   }
@@ -194,13 +169,12 @@ TEST(TimeWindowAggTest, FlushEmitsPendingPanes) {
   WindowSpec win;
   win.duration_ms = 1000.0;
   auto inst = MakeAggInstance(win, AggregateFn::kSum, 1, 0);
-  std::vector<StreamElement> out;
-  ASSERT_TRUE(inst->Process(MakeElement({Value(1), Value(1.0)}, 0.2), 0, 0.2,
-                            &out).ok());
-  EXPECT_GT(inst->StateSize(), 0u);
-  inst->Flush(0.5, &out);
+  auto& out = inst.out();
+  ASSERT_TRUE(inst.Push(MakeRow({Value(1), Value(1.0)}, 0.2), 0, 0.2).ok());
+  EXPECT_GT(inst.op()->StateSize(), 0u);
+  inst.Flush();
   EXPECT_EQ(out.size(), 1u);
-  EXPECT_EQ(inst->StateSize(), 0u);
+  EXPECT_EQ(inst.op()->StateSize(), 0u);
 }
 
 TEST(CountWindowAggTest, FiresEveryLengthTuples) {
@@ -209,11 +183,11 @@ TEST(CountWindowAggTest, FiresEveryLengthTuples) {
   win.type = WindowType::kTumbling;
   win.length_tuples = 3;
   auto inst = MakeAggInstance(win, AggregateFn::kSum, 1, 0);
-  std::vector<StreamElement> out;
+  auto& out = inst.out();
   for (int i = 1; i <= 9; ++i) {
-    ASSERT_TRUE(inst->Process(
-        MakeElement({Value(1), Value(static_cast<double>(i))}, i * 0.1), 0,
-        i * 0.1, &out).ok());
+    ASSERT_TRUE(inst.Push(
+        MakeRow({Value(1), Value(static_cast<double>(i))}, i * 0.1), 0,
+        i * 0.1).ok());
   }
   // Tumbling count window of 3: fires at tuples 3, 6, 9 with sums 6, 15, 24.
   ASSERT_EQ(out.size(), 3u);
@@ -229,11 +203,11 @@ TEST(CountWindowAggTest, SlidingKeepsOverlap) {
   win.length_tuples = 4;
   win.slide_ratio = 0.5;  // slide 2
   auto inst = MakeAggInstance(win, AggregateFn::kSum, 1, 0);
-  std::vector<StreamElement> out;
+  auto& out = inst.out();
   for (int i = 1; i <= 6; ++i) {
-    ASSERT_TRUE(inst->Process(
-        MakeElement({Value(1), Value(static_cast<double>(i))}, i * 0.1), 0,
-        i * 0.1, &out).ok());
+    ASSERT_TRUE(inst.Push(
+        MakeRow({Value(1), Value(static_cast<double>(i))}, i * 0.1), 0,
+        i * 0.1).ok());
   }
   // Window [1..4] fires sum=10; slide 2 -> [3..6] fires sum=18.
   ASSERT_EQ(out.size(), 2u);
@@ -246,20 +220,17 @@ TEST(CountWindowAggTest, PerKeyCountsAreIndependent) {
   win.policy = WindowPolicy::kCount;
   win.length_tuples = 2;
   auto inst = MakeAggInstance(win, AggregateFn::kSum, 1, 0);
-  std::vector<StreamElement> out;
-  ASSERT_TRUE(inst->Process(MakeElement({Value(1), Value(1.0)}, 0.1), 0, 0.1,
-                            &out).ok());
-  ASSERT_TRUE(inst->Process(MakeElement({Value(2), Value(2.0)}, 0.2), 0, 0.2,
-                            &out).ok());
+  auto& out = inst.out();
+  ASSERT_TRUE(inst.Push(MakeRow({Value(1), Value(1.0)}, 0.1), 0, 0.1).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(2), Value(2.0)}, 0.2), 0, 0.2).ok());
   EXPECT_TRUE(out.empty());  // each key has only 1 element
-  ASSERT_TRUE(inst->Process(MakeElement({Value(1), Value(3.0)}, 0.3), 0, 0.3,
-                            &out).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(1), Value(3.0)}, 0.3), 0, 0.3).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].tuple.values[0].AsInt(), 1);
   EXPECT_DOUBLE_EQ(out[0].tuple.values[1].AsDouble(), 4.0);
 }
 
-std::unique_ptr<OperatorInstance> MakeJoinInstance(WindowSpec win) {
+OperatorDriver MakeJoinInstance(WindowSpec win) {
   PlanBuilder b;
   auto s1 = b.Source("s1", KeyValueStream(), PoissonArrival(100));
   auto s2 = b.Source("s2", KeyValueStream(), PoissonArrival(100));
@@ -267,9 +238,7 @@ std::unique_ptr<OperatorInstance> MakeJoinInstance(WindowSpec win) {
   b.Sink("k", j);
   auto plan = b.Build();
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-  static LogicalPlan kept;
-  kept = std::move(*plan);
-  auto inst = CreateOperatorInstance(kept, *kept.FindOperator("j"), 0, 1);
+  auto inst = DriveOperator(*plan, "j");
   EXPECT_TRUE(inst.ok());
   return std::move(*inst);
 }
@@ -278,13 +247,11 @@ TEST(WindowJoinTest, MatchesEqualKeysWithinWindow) {
   WindowSpec win;
   win.duration_ms = 1000.0;
   auto inst = MakeJoinInstance(win);
-  std::vector<StreamElement> out;
+  auto& out = inst.out();
   // Left key=7 at t=0.1; right key=7 at t=0.5 -> match.
-  ASSERT_TRUE(inst->Process(MakeElement({Value(7), Value(1.0)}, 0.1), 0, 0.1,
-                            &out).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(7), Value(1.0)}, 0.1), 0, 0.1).ok());
   EXPECT_TRUE(out.empty());
-  ASSERT_TRUE(inst->Process(MakeElement({Value(7), Value(2.0)}, 0.5), 1, 0.5,
-                            &out).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(7), Value(2.0)}, 0.5), 1, 0.5).ok());
   ASSERT_EQ(out.size(), 1u);
   ASSERT_EQ(out[0].tuple.values.size(), 4u);
   EXPECT_EQ(out[0].tuple.values[0].AsInt(), 7);       // l_key
@@ -298,11 +265,9 @@ TEST(WindowJoinTest, DifferentKeysDoNotMatch) {
   WindowSpec win;
   win.duration_ms = 1000.0;
   auto inst = MakeJoinInstance(win);
-  std::vector<StreamElement> out;
-  ASSERT_TRUE(inst->Process(MakeElement({Value(7), Value(1.0)}, 0.1), 0, 0.1,
-                            &out).ok());
-  ASSERT_TRUE(inst->Process(MakeElement({Value(8), Value(2.0)}, 0.2), 1, 0.2,
-                            &out).ok());
+  auto& out = inst.out();
+  ASSERT_TRUE(inst.Push(MakeRow({Value(7), Value(1.0)}, 0.1), 0, 0.1).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(8), Value(2.0)}, 0.2), 1, 0.2).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -310,12 +275,10 @@ TEST(WindowJoinTest, ExpiredTuplesDoNotMatch) {
   WindowSpec win;
   win.duration_ms = 1000.0;
   auto inst = MakeJoinInstance(win);
-  std::vector<StreamElement> out;
-  ASSERT_TRUE(inst->Process(MakeElement({Value(7), Value(1.0)}, 0.1), 0, 0.1,
-                            &out).ok());
+  auto& out = inst.out();
+  ASSERT_TRUE(inst.Push(MakeRow({Value(7), Value(1.0)}, 0.1), 0, 0.1).ok());
   // Right arrives 2 seconds later: left tuple fell out of the window.
-  ASSERT_TRUE(inst->Process(MakeElement({Value(7), Value(2.0)}, 2.1), 1, 2.1,
-                            &out).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(7), Value(2.0)}, 2.1), 1, 2.1).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -323,13 +286,11 @@ TEST(WindowJoinTest, MultipleMatchesEmitCrossProduct) {
   WindowSpec win;
   win.duration_ms = 1000.0;
   auto inst = MakeJoinInstance(win);
-  std::vector<StreamElement> out;
+  auto& out = inst.out();
   for (double v : {1.0, 2.0, 3.0}) {
-    ASSERT_TRUE(inst->Process(MakeElement({Value(7), Value(v)}, 0.1), 0, 0.1,
-                              &out).ok());
+    ASSERT_TRUE(inst.Push(MakeRow({Value(7), Value(v)}, 0.1), 0, 0.1).ok());
   }
-  ASSERT_TRUE(inst->Process(MakeElement({Value(7), Value(9.0)}, 0.5), 1, 0.5,
-                            &out).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(7), Value(9.0)}, 0.5), 1, 0.5).ok());
   EXPECT_EQ(out.size(), 3u);
 }
 
@@ -338,25 +299,23 @@ TEST(WindowJoinTest, CountPolicyBoundsBuffer) {
   win.policy = WindowPolicy::kCount;
   win.length_tuples = 2;
   auto inst = MakeJoinInstance(win);
-  std::vector<StreamElement> out;
+  auto& out = inst.out();
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(inst->Process(
-        MakeElement({Value(7), Value(static_cast<double>(i))}, i * 0.1), 0,
-        i * 0.1, &out).ok());
+    ASSERT_TRUE(inst.Push(
+        MakeRow({Value(7), Value(static_cast<double>(i))}, i * 0.1), 0,
+        i * 0.1).ok());
   }
   // Only the last 2 left tuples remain buffered.
-  EXPECT_EQ(inst->StateSize(), 2u);
-  ASSERT_TRUE(inst->Process(MakeElement({Value(7), Value(99.0)}, 1.5), 1, 1.5,
-                            &out).ok());
+  EXPECT_EQ(inst.op()->StateSize(), 2u);
+  ASSERT_TRUE(inst.Push(MakeRow({Value(7), Value(99.0)}, 1.5), 1, 1.5).ok());
   EXPECT_EQ(out.size(), 2u);
 }
 
 TEST(WindowJoinTest, BadPortRejected) {
   WindowSpec win;
   auto inst = MakeJoinInstance(win);
-  std::vector<StreamElement> out;
-  EXPECT_TRUE(inst->Process(MakeElement({Value(1), Value(1.0)}, 0.1), 2, 0.1,
-                            &out).IsOutOfRange());
+  EXPECT_TRUE(
+      inst.Push(MakeRow({Value(1), Value(1.0)}, 0.1), 2, 0.1).IsOutOfRange());
 }
 
 TEST(FlatMapTest, MeanFanoutRespected) {
@@ -366,15 +325,12 @@ TEST(FlatMapTest, MeanFanoutRespected) {
   b.Sink("k", fm);
   auto plan = b.Build();
   ASSERT_TRUE(plan.ok());
-  auto inst = CreateOperatorInstance(*plan, *plan->FindOperator("fm"), 0, 5);
+  auto inst = DriveOperator(*plan, "fm", 5);
   ASSERT_TRUE(inst.ok());
-  std::vector<StreamElement> out;
+  auto& out = inst->out();
   const int n = 10000;
   for (int i = 0; i < n; ++i) {
-    ASSERT_TRUE((*inst)
-                    ->Process(MakeElement({Value(1), Value(1.0)}, 0.0), 0, 0.0,
-                              &out)
-                    .ok());
+    ASSERT_TRUE(inst->Push(MakeRow({Value(1), Value(1.0)}, 0.0), 0, 0.0).ok());
   }
   EXPECT_NEAR(static_cast<double>(out.size()) / n, 2.5, 0.05);
 }
@@ -386,15 +342,12 @@ TEST(UdoExecTest, SampleKindDropsFraction) {
   b.Sink("k", u);
   auto plan = b.Build();
   ASSERT_TRUE(plan.ok());
-  auto inst = CreateOperatorInstance(*plan, *plan->FindOperator("u"), 0, 5);
+  auto inst = DriveOperator(*plan, "u", 5);
   ASSERT_TRUE(inst.ok());
-  std::vector<StreamElement> out;
+  auto& out = inst->out();
   const int n = 10000;
   for (int i = 0; i < n; ++i) {
-    ASSERT_TRUE((*inst)
-                    ->Process(MakeElement({Value(1), Value(1.0)}, 0.0), 0, 0.0,
-                              &out)
-                    .ok());
+    ASSERT_TRUE(inst->Push(MakeRow({Value(1), Value(1.0)}, 0.0), 0, 0.0).ok());
   }
   EXPECT_NEAR(static_cast<double>(out.size()) / n, 0.3, 0.03);
 }
@@ -414,13 +367,10 @@ TEST(UdoExecTest, UnknownKindFailsAtCreation) {
 TEST(SinkExecTest, PassesThrough) {
   auto plan = testing::LinearPlan();
   ASSERT_TRUE(plan.ok());
-  auto inst = CreateOperatorInstance(*plan, plan->SinkId(), 0, 1);
+  auto inst = DriveOperator(*plan, "sink");
   ASSERT_TRUE(inst.ok());
-  std::vector<StreamElement> out;
-  ASSERT_TRUE((*inst)
-                  ->Process(MakeElement({Value(1), Value(1.0)}, 0.3), 0, 0.3,
-                            &out)
-                  .ok());
+  auto& out = inst->out();
+  ASSERT_TRUE(inst->Push(MakeRow({Value(1), Value(1.0)}, 0.3), 0, 0.3).ok());
   EXPECT_EQ(out.size(), 1u);
 }
 

@@ -1,10 +1,10 @@
 // The columnar data plane's core contract: kernel chunk size is purely an
 // execution granularity. Running the same seeded simulation with
-// batch_rows=1 (tuple-at-a-time through the row-view adapters) and
-// batch_rows=256 (vectorized kernels over whole chunks) must produce
-// bit-identical results for every application in the Table 2 suite —
-// identical tuple counts, identical latency statistics, identical per-
-// operator stats and identical latency-attribution telescoping.
+// batch_rows=1 (every ProcessBatch call sees one row) and batch_rows=256
+// (kernels, joins and UDOs over whole chunks) must produce bit-identical
+// results for every application in the Table 2 suite — identical tuple
+// counts, identical latency statistics, identical per-operator stats and
+// identical latency-attribution telescoping.
 
 #include <gtest/gtest.h>
 
@@ -120,22 +120,28 @@ TEST(BatchEquivalenceTest, DefaultBatchRowsMatchesTupleAtATime) {
 }
 
 TEST(BatchEquivalenceTest, DataPlaneCountersPopulated) {
-  AppOptions app_opt;
-  app_opt.event_rate = 4000.0;
-  app_opt.parallelism = 2;
-  auto plan = MakeApp(AppId::kWordCount, app_opt);
-  ASSERT_TRUE(plan.ok());
-  auto r = ExecutePlan(*plan, Cluster::M510(4), AppOptionsFor(256));
-  ASSERT_TRUE(r.ok());
-  const auto batches =
-      r->metrics->GetCounter("pdsp.data.batches")->value();
-  const auto rows = r->metrics->GetCounter("pdsp.data.rows")->value();
-  EXPECT_GT(batches, 0);
-  EXPECT_GE(rows, batches);
-  // The Table 2 apps declare their UDO outputs correctly, so no column may
-  // ever promote on the hot path.
-  EXPECT_EQ(r->metrics->GetCounter("pdsp.data.column_promotions")->value(),
-            0);
+  for (const AppInfo& info : AllApps()) {
+    for (int parallelism : {1, 2}) {
+      AppOptions app_opt;
+      app_opt.event_rate = 4000.0;
+      app_opt.parallelism = parallelism;
+      auto plan = MakeApp(info.id, app_opt);
+      ASSERT_TRUE(plan.ok()) << info.abbrev;
+      auto r = ExecutePlan(*plan, Cluster::M510(4), AppOptionsFor(256));
+      ASSERT_TRUE(r.ok()) << info.abbrev << ": " << r.status().ToString();
+      const auto batches =
+          r->metrics->GetCounter("pdsp.data.batches")->value();
+      const auto rows = r->metrics->GetCounter("pdsp.data.rows")->value();
+      EXPECT_GT(batches, 0) << info.abbrev << " p=" << parallelism;
+      EXPECT_GE(rows, batches) << info.abbrev << " p=" << parallelism;
+      // The Table 2 apps declare their UDO outputs correctly, so no column
+      // may ever promote on the hot path: not in kernels, joins, UDO
+      // emits or fired window panes.
+      EXPECT_EQ(
+          r->metrics->GetCounter("pdsp.data.column_promotions")->value(), 0)
+          << info.abbrev << " p=" << parallelism;
+    }
+  }
 }
 
 TEST(BatchEquivalenceTest, BatchRowsValidated) {
