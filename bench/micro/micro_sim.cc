@@ -95,8 +95,8 @@ void BM_SimJoinPlanAttr(benchmark::State& state) {
 BENCHMARK(BM_SimJoinPlanAttr)->Arg(8);
 
 // Host-profiler acceptance pair: the HostProf variant scopes every run in a
-// "simulate" phase on the global profiler (what the harness does per
-// repeat), the control disables the profiler so the scope is a no-op.
+// "simulate" PhaseScope on a profiler (what the harness does per repeat),
+// the control passes a null sink so the scope records nothing.
 // Acceptance bound: HostProf within 2% of the control.
 void RunSimHostProfiled(benchmark::State& state, bool profiler_enabled) {
   auto plan = testing::LinearPlan(20000.0, 8);
@@ -104,12 +104,11 @@ void RunSimHostProfiled(benchmark::State& state, bool profiler_enabled) {
     state.SkipWithError("plan");
     return;
   }
-  obs::HostProfiler& profiler = obs::HostProfiler::Global();
-  const bool was_enabled = profiler.enabled();
-  profiler.set_enabled(profiler_enabled);
+  obs::HostProfiler profiler;
+  obs::HostProfiler* sink = profiler_enabled ? &profiler : nullptr;
   int64_t tuples = 0;
   for (auto _ : state) {
-    obs::HostProfiler::Phase phase(&profiler, "simulate");
+    obs::PhaseScope phase(sink, nullptr, "simulate");
     ExecutionOptions opt;
     opt.sim.duration_s = 1.0;
     opt.sim.warmup_s = 0.25;
@@ -117,12 +116,10 @@ void RunSimHostProfiled(benchmark::State& state, bool profiler_enabled) {
     auto r = ExecutePlan(*plan, Cluster::M510(10), opt);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
-      profiler.set_enabled(was_enabled);
       return;
     }
     tuples += r->source_tuples;
   }
-  profiler.set_enabled(was_enabled);
   state.counters["src_tuples/s"] = benchmark::Counter(
       static_cast<double>(tuples), benchmark::Counter::kIsRate);
 }

@@ -4,18 +4,7 @@ namespace pdsp {
 namespace exec {
 
 RunContext::RunContext()
-    : owned_profiler_(std::make_unique<obs::HostProfiler>()),
-      profiler_(owned_profiler_.get()),
-      metrics_(std::make_shared<obs::MetricsRegistry>()) {}
-
-RunContext::RunContext(obs::HostProfiler* profiler_sink)
-    : profiler_(profiler_sink),
-      metrics_(std::make_shared<obs::MetricsRegistry>()) {
-  if (profiler_ == nullptr) {
-    owned_profiler_ = std::make_unique<obs::HostProfiler>();
-    profiler_ = owned_profiler_.get();
-  }
-}
+    : metrics_(std::make_shared<obs::MetricsRegistry>()) {}
 
 Status RunContext::StartCpuProfiler(const obs::prof::ProfOptions& options) {
   // Replacing a still-running profiler (e.g. after an error-path return

@@ -1,18 +1,15 @@
 // Per-run execution context: the explicit bundle of everything one measured
-// run is allowed to mutate. Before this existed, the cell path leaked state
-// through process-wide singletons (obs::HostProfiler::Global() phase
-// timers, implicitly shared registries), which made concurrent sweep cells
-// impossible to reason about. A RunContext owns (or is explicitly bound to)
+// run is allowed to mutate. A RunContext owns
 //
 //   * the MetricsRegistry the representative repeat records into,
 //   * the Tracer the cell's spans/firings go to,
-//   * the host-profiler phase sink its wall-clock phases accumulate in, and
+//   * the HostProfiler its wall-clock phases accumulate in, and
 //   * the seed state repeat seeds derive from.
 //
 // Thread-safety contract (see DESIGN.md "Execution model"): a RunContext is
 // confined to one thread at a time; cross-context aggregation happens by
-// merging (MetricsRegistry::MergeFrom, HostProfiler::MergeWorkerPhases)
-// after the owning thread is done, in deterministic (cell-index) order.
+// merging (MetricsRegistry::MergeFrom, obs::FoldPhases) after the owning
+// thread is done, in deterministic (cell-index) order.
 
 #ifndef PDSP_EXEC_RUN_CONTEXT_H_
 #define PDSP_EXEC_RUN_CONTEXT_H_
@@ -33,13 +30,7 @@ namespace exec {
 /// \brief Owns the mutable observability state of one measured run.
 class RunContext {
  public:
-  /// A context with a private host-profiler sink (parallel workers; tests).
   RunContext();
-
-  /// A context bound to an external profiler sink — pass
-  /// &obs::HostProfiler::Global() to reproduce the legacy single-threaded
-  /// behavior where every phase lands in the process-wide profiler.
-  explicit RunContext(obs::HostProfiler* profiler_sink);
 
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
@@ -53,12 +44,8 @@ class RunContext {
   obs::Tracer* tracer() { return &tracer_; }
 
   /// Phase sink for this run's wall-clock scopes (simulate / diagnose /
-  /// train / export). Never null.
-  obs::HostProfiler* profiler() { return profiler_; }
-
-  /// True when the sink is private to this context (i.e. its phases must be
-  /// merged somewhere to be visible).
-  bool owns_profiler() const { return owned_profiler_ != nullptr; }
+  /// export).
+  obs::HostProfiler* profiler() { return &profiler_; }
 
   uint64_t base_seed() const { return base_seed_; }
   void set_base_seed(uint64_t seed) { base_seed_ = seed; }
@@ -101,10 +88,9 @@ class RunContext {
   bool mem_profiling() const;
 
  private:
-  std::unique_ptr<obs::HostProfiler> owned_profiler_;
+  obs::HostProfiler profiler_;
   std::unique_ptr<obs::prof::Profiler> cpu_profiler_;
   std::unique_ptr<obs::mem::MemProfiler> mem_profiler_;
-  obs::HostProfiler* profiler_;  // == owned_profiler_.get() or external
   obs::Tracer tracer_;
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   uint64_t base_seed_ = 2024;

@@ -114,7 +114,7 @@ SweepResult RunSweep(const std::vector<SweepCell>& cells,
   const auto t0 = std::chrono::steady_clock::now();
 
   // Per-cell slots, written by exactly one worker each; per-worker phase
-  // profiles, written by exactly one worker each. The futures' get() below
+  // maps, written by exactly one worker each. The futures' get() below
   // publishes every write to this thread before the merge phase reads it.
   std::vector<std::optional<Result<CellResult>>> results(cells.size());
   std::vector<std::shared_ptr<obs::MetricsRegistry>> cell_metrics(
@@ -129,10 +129,7 @@ SweepResult RunSweep(const std::vector<SweepCell>& cells,
     workers.reserve(static_cast<size_t>(sweep.jobs));
     for (int w = 0; w < sweep.jobs; ++w) {
       workers.push_back(pool.Submit([&, w]() {
-        // One phase sink per worker: concurrent busy-seconds accumulate
-        // here and are merged as worker phases at join, never into the
-        // global profiler's single-threaded wall-clock phases.
-        obs::HostProfiler profiler;
+        obs::WorkerPhaseMap& phases = worker_phases[static_cast<size_t>(w)];
         for (size_t i = next_cell.fetch_add(1, std::memory_order_relaxed);
              i < cells.size();
              i = next_cell.fetch_add(1, std::memory_order_relaxed)) {
@@ -156,18 +153,20 @@ SweepResult RunSweep(const std::vector<SweepCell>& cells,
             results[i].emplace(plan.status());
             continue;
           }
-          RunContext context(&profiler);
+          // Every cell gets its own context, so its bundle's
+          // host_profile.json holds only its own phases at any --jobs.
+          RunContext context;
           if (progress != nullptr) {
             progress->StartCell(w, i, cell.label, context.metrics());
           }
           results[i].emplace(
               MeasureCell(*plan, cell.cluster, protocol, &context));
           cell_metrics[i] = context.metrics();
+          obs::FoldPhases(context.profiler()->Snapshot().phases, &phases);
           if (progress != nullptr) {
             progress->FinishCell(w, i, results[i]->ok());
           }
         }
-        worker_phases[static_cast<size_t>(w)] = profiler.Snapshot().phases;
       }));
     }
     for (std::future<void>& worker : workers) {
@@ -189,13 +188,6 @@ SweepResult RunSweep(const std::vector<SweepCell>& cells,
   if (sampler != nullptr) {
     sweep.monitor = sampler->Stop();
     sweep.monitor.ExportTo(sweep.metrics.get());
-    // Also visible in host_profile.json bundles written after the sweep:
-    // each worker's monitored busy-seconds as a named phase accumulator.
-    for (const obs::WorkerSnapshot& w : sweep.monitor.last.workers) {
-      obs::HostProfiler::Global().RecordPhase(
-          StrFormat("%s:monitor-worker%d-busy", prefix.c_str(), w.worker),
-          w.busy_s);
-    }
   }
 
   // Everything below is single-threaded merge work in canonical order.
@@ -216,13 +208,8 @@ SweepResult RunSweep(const std::vector<SweepCell>& cells,
 
   obs::HostProfiler host_merger;
   for (int w = 0; w < sweep.jobs; ++w) {
-    const std::string worker_name = StrFormat("%s:worker%d", prefix.c_str(), w);
-    host_merger.MergeWorkerPhases(worker_name,
+    host_merger.MergeWorkerPhases(StrFormat("%s:worker%d", prefix.c_str(), w),
                                   worker_phases[static_cast<size_t>(w)]);
-    // Also visible process-wide, so host_profile.json bundles written after
-    // the sweep attribute its concurrent work honestly.
-    obs::HostProfiler::Global().MergeWorkerPhases(
-        worker_name, worker_phases[static_cast<size_t>(w)]);
   }
   sweep.host = host_merger.Snapshot();
   host_merger.ExportTo(sweep.metrics.get());

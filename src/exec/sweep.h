@@ -5,16 +5,17 @@
 // deterministically:
 //
 //   * every cell runs under its own RunContext (tracer, metrics registry,
-//     seed state) bound to its worker's private HostProfiler;
+//     host profiler, seed state), so a cell's artifact bundle holds only
+//     that cell's phases;
 //   * cell seeds derive only from each cell's protocol, never from worker
 //     identity or execution order, so --jobs=1 and --jobs=N produce
 //     bit-identical per-cell virtual-time results;
 //   * results, merged metrics and ledger appends are canonicalized by cell
 //     index (submission order), not completion order;
-//   * per-worker phase timers are merged into HostProfiler::Global() (and
-//     the returned HostProfile) as worker phases — kept separate from
-//     single-threaded wall-clock phases so concurrent busy-seconds are
-//     never double-counted as wall seconds.
+//   * each cell's phases are folded into its worker's map after the cell
+//     runs; SweepResult::host reports those maps as worker phases — kept
+//     separate from single-threaded wall-clock phases so concurrent
+//     busy-seconds are never double-counted as wall seconds.
 
 #ifndef PDSP_EXEC_SWEEP_H_
 #define PDSP_EXEC_SWEEP_H_

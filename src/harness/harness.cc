@@ -1,8 +1,10 @@
 #include "src/harness/harness.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 
 #include "src/analysis/analyzer.h"
 #include "src/analysis/properties.h"
@@ -38,7 +40,7 @@ int MaxParallelism(const LogicalPlan& plan) {
 obs::RunRecord MakeLedgerRecord(const LogicalPlan& plan,
                                 const Cluster& cluster,
                                 const RunProtocol& protocol,
-                                const CellResult& cell) {
+                                const CellResult& cell, double wall_s) {
   obs::RunRecord rec;
   rec.label = protocol.label.empty() ? "plan" : protocol.label;
   rec.run_id = obs::MakeRunId(rec.label);
@@ -105,8 +107,10 @@ obs::RunRecord MakeLedgerRecord(const LogicalPlan& plan,
       break;
     }
   }
-  const obs::HostUsage usage = obs::HostProfiler::Global().SampleUsage();
-  rec.host_wall_s = usage.wall_s;
+  // CPU and peak RSS are whole-process readings taken now; only the wall
+  // clock is the cell's own.
+  const obs::HostUsage usage = obs::HostProfiler().SampleUsage();
+  rec.host_wall_s = wall_s;
   rec.host_cpu_user_s = usage.cpu_user_s;
   rec.host_cpu_sys_s = usage.cpu_sys_s;
   rec.host_peak_rss_kb = usage.peak_rss_kb;
@@ -115,18 +119,11 @@ obs::RunRecord MakeLedgerRecord(const LogicalPlan& plan,
 
 Result<CellResult> MeasureCell(const LogicalPlan& plan,
                                const Cluster& cluster,
-                               const RunProtocol& protocol) {
-  // Legacy single-threaded entry: a private context whose wall-clock
-  // phases land in the process-wide profiler.
-  exec::RunContext context(&obs::HostProfiler::Global());
-  return MeasureCell(plan, cluster, protocol, &context);
-}
-
-Result<CellResult> MeasureCell(const LogicalPlan& plan,
-                               const Cluster& cluster,
                                const RunProtocol& protocol,
                                exec::RunContext* context) {
-  if (context == nullptr) return MeasureCell(plan, cluster, protocol);
+  const auto start = std::chrono::steady_clock::now();
+  std::optional<exec::RunContext> private_context;
+  if (context == nullptr) context = &private_context.emplace();
   if (protocol.repeats < 1) return Status::InvalidArgument("repeats < 1");
   context->set_base_seed(protocol.seed);
 
@@ -213,19 +210,16 @@ Result<CellResult> MeasureCell(const LogicalPlan& plan,
     // The representative repeat records into the context's registry so
     // SimResult::metrics aliases per-run state the caller can merge.
     if (r == 0) exec.sim.metrics = context->metrics();
+    // Phases trace into the run's tracer, i.e. on the artifact repeat only.
     SimResult run;
     {
-      obs::HostProfiler::Phase phase(context->profiler(), "simulate");
-      obs::prof::ProfScope prof_phase(obs::prof::FrameKind::kPhase,
-                                      "simulate");
+      obs::PhaseScope phase(context->profiler(), exec.sim.tracer, "simulate");
       PDSP_ASSIGN_OR_RETURN(run, ExecutePlan(plan, cluster, exec));
     }
     if (r == 0 && protocol.diagnose) {
       // Diagnose the representative run; a diagnosis failure downgrades to
       // a warning so a sweep never dies on its observability.
-      obs::HostProfiler::Phase phase(context->profiler(), "diagnose");
-      obs::prof::ProfScope prof_phase(obs::prof::FrameKind::kPhase,
-                                      "diagnose");
+      obs::PhaseScope phase(context->profiler(), exec.sim.tracer, "diagnose");
       Result<obs::Diagnosis> diag =
           obs::DiagnoseRun(plan, cluster, run, protocol.diagnose_options);
       if (diag.ok()) {
@@ -281,7 +275,7 @@ Result<CellResult> MeasureCell(const LogicalPlan& plan,
   }
   if (have_first) cell.op_stats = first_run.op_stats;
   if (protocol.obs.enabled && have_first) {
-    obs::HostProfiler::Phase phase(context->profiler(), "export");
+    obs::PhaseScope phase(context->profiler(), &tracer, "export");
     obs::ArtifactOptions artifacts;
     artifacts.tracer = &tracer;
     artifacts.diagnosis = cell.has_diagnosis ? &cell.diagnosis : nullptr;
@@ -304,7 +298,10 @@ Result<CellResult> MeasureCell(const LogicalPlan& plan,
   }
   cell.mean_median_latency_s /= usable;
   cell.mean_throughput_tps /= usable;
-  cell.ledger_record = MakeLedgerRecord(plan, cluster, protocol, cell);
+  cell.ledger_record = MakeLedgerRecord(
+      plan, cluster, protocol, cell,
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count());
   cell.ledger_record.determinism =
       analysis::DeterminismToString(props->verdict);
   if (protocol.ledger.enabled) {
@@ -316,13 +313,6 @@ Result<CellResult> MeasureCell(const LogicalPlan& plan,
     }
   }
   return cell;
-}
-
-Result<CellResult> MeasureAtDegree(LogicalPlan plan, int degree,
-                                   const Cluster& cluster,
-                                   const RunProtocol& protocol) {
-  PDSP_RETURN_NOT_OK(ApplyUniformParallelism(&plan, degree));
-  return MeasureCell(plan, cluster, protocol);
 }
 
 Result<CellResult> MeasureAtDegree(LogicalPlan plan, int degree,

@@ -136,38 +136,30 @@ struct CellResult {
 
 /// Builds the provenance RunRecord for a measured cell: plan hash and
 /// protocol parameters, the cell's virtual-time metrics with repeat
-/// variance, diagnosis codes, artifact dir and the current host footprint.
+/// variance, diagnosis codes, artifact dir, `wall_s` (the cell's own wall
+/// clock) and the process's CPU and peak RSS at record time.
 obs::RunRecord MakeLedgerRecord(const LogicalPlan& plan,
                                 const Cluster& cluster,
                                 const RunProtocol& protocol,
-                                const CellResult& cell);
+                                const CellResult& cell, double wall_s);
 
 /// Runs a validated plan `repeats` times with distinct seeds and aggregates
 /// per the paper's protocol. All mutable run state (tracer, metrics, phase
 /// timers) lives in `context`, which must be private to this call — the
-/// sweep scheduler hands every concurrent cell its own context. Repeat
-/// seeds derive only from protocol.seed, so results are bit-identical
-/// regardless of which worker/context executes the cell.
+/// sweep scheduler hands every concurrent cell its own context; null
+/// measures with a private one. Repeat seeds derive only from
+/// protocol.seed, so results are bit-identical regardless of which
+/// worker/context executes the cell.
 Result<CellResult> MeasureCell(const LogicalPlan& plan,
                                const Cluster& cluster,
                                const RunProtocol& protocol,
-                               exec::RunContext* context);
-
-/// Compatibility shim for single-threaded callers: measures with a private
-/// context whose phase timers land in obs::HostProfiler::Global(), exactly
-/// the legacy behavior.
-Result<CellResult> MeasureCell(const LogicalPlan& plan,
-                               const Cluster& cluster,
-                               const RunProtocol& protocol);
+                               exec::RunContext* context = nullptr);
 
 /// Applies a uniform parallelism degree (sink stays 1) and measures.
 Result<CellResult> MeasureAtDegree(LogicalPlan plan, int degree,
                                    const Cluster& cluster,
-                                   const RunProtocol& protocol);
-Result<CellResult> MeasureAtDegree(LogicalPlan plan, int degree,
-                                   const Cluster& cluster,
                                    const RunProtocol& protocol,
-                                   exec::RunContext* context);
+                                   exec::RunContext* context = nullptr);
 
 /// \brief Fixed-width text table accumulated row by row; also serializable
 /// to CSV for downstream plotting.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "src/obs/host_profile.h"
-
 namespace pdsp {
 
 Result<DatasetSplit> SplitDataset(const Dataset& data, double train_fraction,
@@ -59,19 +57,12 @@ void SplitByStructure(const Dataset& data,
 
 Result<ModelEvaluation> TrainAndEvaluate(LearnedCostModel* model,
                                          const DatasetSplit& split,
-                                         const TrainOptions& options,
-                                         obs::HostProfiler* profiler) {
+                                         const TrainOptions& options) {
   if (model == nullptr) return Status::InvalidArgument("null model");
-  if (profiler == nullptr) profiler = &obs::HostProfiler::Global();
   ModelEvaluation eval;
   eval.model_name = model->name();
-  {
-    // Cost-model fitting is the harness's dominant non-simulation expense;
-    // scope it so host profiles separate "train" from "simulate".
-    obs::HostProfiler::Phase phase(profiler, "train");
-    PDSP_ASSIGN_OR_RETURN(eval.train_report,
-                          model->Fit(split.train, split.val, options));
-  }
+  PDSP_ASSIGN_OR_RETURN(eval.train_report,
+                        model->Fit(split.train, split.val, options));
   PDSP_ASSIGN_OR_RETURN(eval.val_metrics, Evaluate(*model, split.val));
   PDSP_ASSIGN_OR_RETURN(eval.test_metrics, Evaluate(*model, split.test));
   return eval;

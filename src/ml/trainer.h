@@ -11,7 +11,6 @@
 #include "src/common/rng.h"
 #include "src/ml/metrics.h"
 #include "src/ml/model.h"
-#include "src/obs/host_profile.h"
 
 namespace pdsp {
 
@@ -42,14 +41,10 @@ struct ModelEvaluation {
 };
 
 /// Fits `model` on split.train (early stopping on split.val) and evaluates
-/// on val and test. The "train" wall-clock phase is recorded into
-/// `profiler`; the default (null) resolves to obs::HostProfiler::Global(),
-/// the legacy single-threaded behavior. Callers running training inside a
-/// sweep worker pass their run context's profiler instead.
+/// on val and test.
 Result<ModelEvaluation> TrainAndEvaluate(LearnedCostModel* model,
                                          const DatasetSplit& split,
-                                         const TrainOptions& options,
-                                         obs::HostProfiler* profiler = nullptr);
+                                         const TrainOptions& options);
 
 }  // namespace pdsp
 

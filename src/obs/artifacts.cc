@@ -139,13 +139,5 @@ Status WriteRunArtifacts(const std::string& dir, const SimResult& result,
   return Status::OK();
 }
 
-Status WriteRunArtifacts(const std::string& dir, const SimResult& result,
-                         const Tracer* tracer, const Diagnosis* diagnosis) {
-  ArtifactOptions options;
-  options.tracer = tracer;
-  options.diagnosis = diagnosis;
-  return WriteRunArtifacts(dir, result, options);
-}
-
 }  // namespace obs
 }  // namespace pdsp

@@ -52,11 +52,6 @@ struct ArtifactOptions {
 Status WriteRunArtifacts(const std::string& dir, const SimResult& result,
                          const ArtifactOptions& options);
 
-/// Back-compat shorthand for the tracer/diagnosis-only bundle.
-Status WriteRunArtifacts(const std::string& dir, const SimResult& result,
-                         const Tracer* tracer,
-                         const Diagnosis* diagnosis = nullptr);
-
 }  // namespace obs
 }  // namespace pdsp
 

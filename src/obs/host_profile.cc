@@ -38,10 +38,6 @@ bool ReadProcSelfStatus(int64_t* rss_kb, int64_t* hwm_kb) {
   return found;
 }
 
-}  // namespace
-
-namespace {
-
 Json PhaseMapToJson(const WorkerPhaseMap& phases) {
   Json ph = Json::Object();
   for (const auto& [name, stats] : phases) {
@@ -56,16 +52,20 @@ Json PhaseMapToJson(const WorkerPhaseMap& phases) {
 
 }  // namespace
 
+void FoldPhases(const WorkerPhaseMap& from, WorkerPhaseMap* into) {
+  for (const auto& [name, stats] : from) {
+    HostPhaseStats& folded = (*into)[name];
+    folded.count += stats.count;
+    folded.total_s += stats.total_s;
+    if (stats.max_s > folded.max_s) folded.max_s = stats.max_s;
+  }
+}
+
 WorkerPhaseMap HostProfile::AggregateWorkerPhases() const {
   WorkerPhaseMap aggregate;
   for (const auto& [worker, phases] : worker_phases) {
     (void)worker;
-    for (const auto& [name, stats] : phases) {
-      HostPhaseStats& agg = aggregate[name];
-      agg.count += stats.count;
-      agg.total_s += stats.total_s;
-      if (stats.max_s > agg.max_s) agg.max_s = stats.max_s;
-    }
+    FoldPhases(phases, &aggregate);
   }
   return aggregate;
 }
@@ -95,13 +95,7 @@ Json HostProfile::ToJson() const {
 
 HostProfiler::HostProfiler() : start_(std::chrono::steady_clock::now()) {}
 
-HostProfiler& HostProfiler::Global() {
-  static HostProfiler* profiler = new HostProfiler();
-  return *profiler;
-}
-
 void HostProfiler::RecordPhase(const std::string& name, double seconds) {
-  if (!enabled()) return;
   MutexLock lock(mu_);
   HostPhaseStats& stats = phases_[name];
   ++stats.count;
@@ -139,13 +133,7 @@ HostUsage HostProfiler::SampleUsage() const {
 void HostProfiler::MergeWorkerPhases(const std::string& worker,
                                      const WorkerPhaseMap& phases) {
   MutexLock lock(mu_);
-  WorkerPhaseMap& mine = worker_phases_[worker];
-  for (const auto& [name, stats] : phases) {
-    HostPhaseStats& existing = mine[name];
-    existing.count += stats.count;
-    existing.total_s += stats.total_s;
-    if (stats.max_s > existing.max_s) existing.max_s = stats.max_s;
-  }
+  FoldPhases(phases, &worker_phases_[worker]);
 }
 
 HostProfile HostProfiler::Snapshot() const {
@@ -187,13 +175,6 @@ void HostProfiler::ExportTo(MetricsRegistry* registry) const {
           ->Set(static_cast<double>(stats.count));
     }
   }
-}
-
-void HostProfiler::Reset() {
-  MutexLock lock(mu_);
-  phases_.clear();
-  worker_phases_.clear();
-  start_ = std::chrono::steady_clock::now();
 }
 
 }  // namespace obs

@@ -4,20 +4,19 @@
 //
 //  1. Resource sampling — RSS / peak RSS from /proc/self/status (graceful
 //     zeros off-Linux) and user/sys CPU time from getrusage(2).
-//  2. Wall-clock phase timers — RAII scopes accumulating per-phase totals
-//     (build-plan / simulate / diagnose / train / export), so a sweep's
-//     harness overhead is attributable to a phase, not just "wall clock".
+//  2. Wall-clock phase timers — per-phase totals (simulate / diagnose /
+//     export) recorded by PhaseScope, the one scope behind every host
+//     phase: on one name it feeds the phase timer, the CPU profiler's
+//     marker stack and the trace, so all three outputs agree.
 //
 // Snapshots export as `pdsp.host.*` gauges into a MetricsRegistry and as
 // the host_profile.json member of every artifact bundle. The profiler is
-// deliberately sample-on-demand (no background thread): a phase scope costs
-// two steady_clock reads and one mutex-guarded map update, which keeps the
-// measured overhead on micro_sim well under the 2% acceptance bound.
+// deliberately sample-on-demand (no background thread) and has no
+// process-wide instance: each exec::RunContext owns one.
 
 #ifndef PDSP_OBS_HOST_PROFILE_H_
 #define PDSP_OBS_HOST_PROFILE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -26,6 +25,8 @@
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
 #include "src/obs/metrics.h"
+#include "src/obs/prof.h"
+#include "src/obs/trace.h"
 #include "src/store/json.h"
 
 namespace pdsp {
@@ -33,7 +34,7 @@ namespace obs {
 
 /// \brief One point-in-time host resource reading.
 struct HostUsage {
-  double wall_s = 0.0;       ///< seconds since profiler construction/Reset
+  double wall_s = 0.0;       ///< seconds since profiler construction
   double cpu_user_s = 0.0;   ///< process user CPU (getrusage, cumulative)
   double cpu_sys_s = 0.0;    ///< process system CPU (cumulative)
   int64_t rss_kb = 0;        ///< current VmRSS (0 when /proc unavailable)
@@ -55,6 +56,10 @@ struct HostPhaseStats {
 /// \brief Per-phase timers of one named sweep worker, merged into the
 /// parent profiler at join (HostProfiler::MergeWorkerPhases).
 using WorkerPhaseMap = std::map<std::string, HostPhaseStats>;
+
+/// Adds every phase of `from` into `into`: counts and totals sum, max_s
+/// keeps the larger.
+void FoldPhases(const WorkerPhaseMap& from, WorkerPhaseMap* into);
 
 /// \brief Snapshot of the profiler: resource usage + per-phase timers.
 ///
@@ -80,22 +85,10 @@ struct HostProfile {
   Json ToJson() const;
 };
 
-/// \brief Process-wide self-profiler. All members are thread-safe; use
-/// Global() for the shared instance the harness/CLI/trainer phases report
-/// into, or construct private instances in tests.
+/// \brief Self-profiler of one run context. All members are thread-safe.
 class HostProfiler {
  public:
   HostProfiler();
-
-  /// The process-wide profiler (phases from harness, CLI and ML trainer).
-  static HostProfiler& Global();
-
-  /// Disabling makes phase scopes no-ops (the overhead-control for the
-  /// micro_sim acceptance benchmark); sampling stays available.
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Adds one completed scope of `name` lasting `seconds`.
   void RecordPhase(const std::string& name, double seconds);
@@ -120,49 +113,42 @@ class HostProfiler {
   /// across workers; per-worker detail lives in host_profile.json).
   void ExportTo(MetricsRegistry* registry) const;
 
-  /// Clears phase accumulators and re-anchors the wall clock (tests).
-  void Reset();
-
-  /// \brief RAII phase scope. A null/disabled profiler records nothing.
-  class Phase {
-   public:
-    Phase(HostProfiler* profiler, std::string name)
-        : profiler_(profiler != nullptr && profiler->enabled() ? profiler
-                                                               : nullptr),
-          name_(std::move(name)),
-          start_(std::chrono::steady_clock::now()) {}
-    ~Phase() { End(); }
-    Phase(const Phase&) = delete;
-    Phase& operator=(const Phase&) = delete;
-
-    /// Ends the scope early; later calls (and the destructor) are no-ops.
-    void End() {
-      if (profiler_ == nullptr) return;
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start_;
-      profiler_->RecordPhase(name_, elapsed.count());
-      profiler_ = nullptr;
-    }
-
-   private:
-    HostProfiler* profiler_;
-    std::string name_;
-    std::chrono::steady_clock::time_point start_;
-  };
-
  private:
-  std::atomic<bool> enabled_{true};
   std::chrono::steady_clock::time_point start_;
   mutable Mutex mu_;
   std::map<std::string, HostPhaseStats> phases_ PDSP_GUARDED_BY(mu_);
   std::map<std::string, WorkerPhaseMap> worker_phases_ PDSP_GUARDED_BY(mu_);
 };
 
-/// Scopes a phase on the global profiler for the current block.
-#define PDSP_HOST_PHASE(name)                                    \
-  ::pdsp::obs::HostProfiler::Phase PDSP_CONCAT(_pdsp_phase_,     \
-                                               __LINE__)(        \
-      &::pdsp::obs::HostProfiler::Global(), (name))
+/// \brief The one RAII scope for a host-side phase. On its one name it
+/// records the phase's wall-clock time on `sink`, pushes a
+/// prof::FrameKind::kPhase marker frame (seen only while a sampling profiler
+/// runs on a registered thread) and emits a "phase"-category span into
+/// `tracer`. A null sink or tracer skips that output.
+class PhaseScope {
+ public:
+  PhaseScope(HostProfiler* sink, Tracer* tracer, const std::string& name)
+      : sink_(sink),
+        name_(name),
+        start_(std::chrono::steady_clock::now()),
+        span_(tracer, name, "phase"),
+        marker_(prof::FrameKind::kPhase, name) {}
+  ~PhaseScope() {
+    if (sink_ == nullptr) return;
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start_;
+    sink_->RecordPhase(name_, elapsed.count());
+  }
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+ private:
+  HostProfiler* sink_;
+  std::string name_;
+  std::chrono::steady_clock::time_point start_;
+  Span span_;
+  prof::ProfScope marker_;
+};
 
 }  // namespace obs
 }  // namespace pdsp

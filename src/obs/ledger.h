@@ -79,8 +79,12 @@ struct RunRecord {
   /// host_profile.json ...) when the run wrote one; empty otherwise.
   std::string artifact_dir;
 
-  // --- host-side footprint at record time -------------------------------
+  // --- host-side footprint ----------------------------------------------
+  /// Wall-clock seconds of the measured cell itself (of the whole sweep on
+  /// a sweep summary record).
   double host_wall_s = 0.0;
+  /// CPU and peak RSS are process-wide readings at record time, not the
+  /// cell's own: earlier and concurrent cells of the process count too.
   double host_cpu_user_s = 0.0;
   double host_cpu_sys_s = 0.0;
   int64_t host_peak_rss_kb = 0;

@@ -12,31 +12,15 @@ namespace {
 
 TEST(RunContextTest, DefaultContextOwnsPrivateProfiler) {
   RunContext context;
-  EXPECT_TRUE(context.owns_profiler());
+  RunContext other;
   ASSERT_NE(context.profiler(), nullptr);
-  EXPECT_NE(context.profiler(), &obs::HostProfiler::Global());
-}
-
-TEST(RunContextTest, ExternalSinkIsUsedVerbatim) {
-  obs::HostProfiler sink;
-  RunContext context(&sink);
-  EXPECT_FALSE(context.owns_profiler());
-  EXPECT_EQ(context.profiler(), &sink);
-}
-
-TEST(RunContextTest, NullSinkFallsBackToOwnedProfiler) {
-  RunContext context(nullptr);
-  EXPECT_TRUE(context.owns_profiler());
-  ASSERT_NE(context.profiler(), nullptr);
+  EXPECT_NE(context.profiler(), other.profiler());
 }
 
 TEST(RunContextTest, PhasesLandInTheBoundSink) {
-  obs::HostProfiler sink;
-  RunContext context(&sink);
-  {
-    obs::HostProfiler::Phase phase(context.profiler(), "unit-phase");
-  }
-  const obs::HostProfile profile = sink.Snapshot();
+  RunContext context;
+  { obs::PhaseScope phase(context.profiler(), nullptr, "unit-phase"); }
+  const obs::HostProfile profile = context.profiler()->Snapshot();
   ASSERT_EQ(profile.phases.count("unit-phase"), 1u);
   EXPECT_EQ(profile.phases.at("unit-phase").count, 1);
 }

@@ -177,6 +177,63 @@ TEST(SweepTest, MergedMetricsAndHostProfileCoverAllCells) {
   EXPECT_EQ(aggregate.at("simulate").count, 8);
 }
 
+TEST(SweepTest, CellBundlesHoldOnlyTheirOwnPhasesAtAnyJobs) {
+  for (int jobs : {1, 3}) {
+    SCOPED_TRACE(jobs);
+    const std::string dir =
+        ::testing::TempDir() + StrFormat("/pdsp_sweep_phases_j%d", jobs);
+    std::filesystem::remove_all(dir);
+    std::vector<SweepCell> cells = MakeGrid();
+    cells.resize(3);
+    for (SweepCell& cell : cells) {
+      cell.protocol.diagnose = true;
+      cell.protocol.obs.enabled = true;
+      cell.protocol.obs.dir = dir + "/" + cell.label;
+    }
+    SweepOptions options;
+    options.jobs = jobs;
+    const SweepResult sweep = RunSweep(cells, options);
+    ASSERT_EQ(sweep.NumOk(), 3u);
+    for (const SweepCell& cell : cells) {
+      SCOPED_TRACE(cell.label);
+      auto text = ReadTextFile(cell.protocol.obs.dir + "/host_profile.json");
+      ASSERT_TRUE(text.ok()) << text.status().ToString();
+      auto json = Json::Parse(*text);
+      ASSERT_TRUE(json.ok());
+      // One repeat: one simulate and one diagnose scope, never a sibling
+      // cell's, whichever worker ran the cell.
+      const Json& phases = (*json)["phases"];
+      EXPECT_EQ(phases.members().size(), 2u);
+      EXPECT_EQ(phases["simulate"]["count"].AsInt(), 1);
+      EXPECT_EQ(phases["diagnose"]["count"].AsInt(), 1);
+      EXPECT_FALSE(json->Has("workers"));
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(SweepTest, LedgerHostWallIsEachCellsOwnWallClock) {
+  const std::string path = TempLedgerPath("cell_wall");
+  std::vector<SweepCell> cells = MakeGrid(path);
+  cells.resize(2);
+  // The slow cell runs first, so a clock counting process age would give
+  // the fast cell, recorded later, the larger value.
+  cells[0].make_plan = [] { return testing::LinearPlan(20000.0, 16); };
+  cells[0].protocol.duration_s = 2.0;
+  cells[1].make_plan = [] { return testing::LinearPlan(300.0, 1); };
+  cells[1].protocol.duration_s = 0.2;
+  cells[1].protocol.warmup_s = 0.05;
+  SweepOptions options;
+  options.jobs = 1;
+  const SweepResult sweep = RunSweep(cells, options);
+  ASSERT_EQ(sweep.NumOk(), 2u);
+  auto records = obs::RunLedger(path).Load();
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 2u);
+  EXPECT_GT((*records)[1].host_wall_s, 0.0);
+  EXPECT_GT((*records)[0].host_wall_s, (*records)[1].host_wall_s);
+}
+
 TEST(SweepTest, SummaryRecordLandsInTheSummaryLedger) {
   const std::string path = TempLedgerPath("summary");
   SweepOptions options;

@@ -6,8 +6,12 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
+#include <string>
 
+#include "src/common/file_util.h"
 #include "src/harness/synthetic_suite.h"
+#include "src/store/json.h"
 #include "tests/testing/test_plans.h"
 
 namespace pdsp {
@@ -72,6 +76,57 @@ TEST(MeasureCellTest, RefusesErrorCarryingPlanUnlessAllowed) {
   protocol.allow_invalid = true;
   auto forced = MeasureCell(*plan, Cluster::M510(4), protocol);
   EXPECT_TRUE(forced.ok()) << forced.status().ToString();
+}
+
+Json ReadJson(const std::string& path) {
+  auto text = ReadTextFile(path);
+  EXPECT_TRUE(text.ok()) << path;
+  auto json = Json::Parse(text.ok() ? *text : "");
+  EXPECT_TRUE(json.ok()) << path;
+  return json.ok() ? *json : Json();
+}
+
+TEST(MeasureCellTest, PhaseNamesAgreeAcrossHostProfileTraceAndProfile) {
+  const std::string dir = ::testing::TempDir() + "/pdsp_harness_phases";
+  std::filesystem::remove_all(dir);
+  auto plan = testing::LinearPlan(5000.0, 2);
+  ASSERT_TRUE(plan.ok());
+  RunProtocol protocol;
+  protocol.repeats = 1;
+  protocol.duration_s = 2.0;
+  protocol.warmup_s = 0.5;
+  protocol.label = "phase-names";
+  protocol.obs.enabled = true;
+  protocol.obs.dir = dir;
+  protocol.profile.enabled = true;
+  protocol.profile.hz = 997.0;
+  protocol.diagnose = true;
+  auto cell = MeasureCell(*plan, Cluster::M510(4), protocol);
+  ASSERT_TRUE(cell.ok()) << cell.status().ToString();
+
+  std::set<std::string> host;
+  const Json host_profile = ReadJson(dir + "/host_profile.json");
+  for (const auto& [name, stats] : host_profile["phases"].members()) {
+    host.insert(name);
+  }
+  EXPECT_EQ(host, (std::set<std::string>{"diagnose", "simulate"}));
+
+  std::set<std::string> spans;
+  const Json events = ReadJson(dir + "/trace.json")["traceEvents"];
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (events.at(i)["cat"].AsString() == "phase") {
+      spans.insert(events.at(i)["name"].AsString());
+    }
+  }
+  EXPECT_EQ(spans, host);
+
+  const Json phases = ReadJson(dir + "/profile.json")["phases"];
+  for (size_t i = 0; i < phases.size(); ++i) {
+    const std::string& name = phases.at(i)["name"].AsString();
+    if (name == "(none)" || name == "(torn)") continue;
+    EXPECT_EQ(host.count(name), 1u) << name;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MeasureAtDegreeTest, RewritesParallelism) {

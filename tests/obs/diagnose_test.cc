@@ -270,7 +270,9 @@ TEST(DiagnoseTest, ArtifactBundleIncludesDiagnosisJsonAtomically) {
   const std::string dir =
       ::testing::TempDir() + "/pdsp_diagnosis_" +
       std::to_string(::testing::UnitTest::GetInstance()->random_seed());
-  Status st = obs::WriteRunArtifacts(dir, *r, nullptr, &*diag);
+  obs::ArtifactOptions artifacts;
+  artifacts.diagnosis = &*diag;
+  Status st = obs::WriteRunArtifacts(dir, *r, artifacts);
   ASSERT_TRUE(st.ok()) << st.ToString();
 
   std::ifstream in(dir + "/diagnosis.json");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace pdsp {
 namespace obs {
@@ -22,22 +23,50 @@ TEST(HostProfilerTest, PhasesAccumulateCountTotalAndMax) {
   EXPECT_EQ(profile.phases.at("train").count, 1);
 }
 
-TEST(HostProfilerTest, PhaseScopeRecordsOnceEvenWithExplicitEnd) {
-  HostProfiler profiler;
-  {
-    HostProfiler::Phase phase(&profiler, "export");
-    phase.End();
-    // The destructor must not double-count after End().
-  }
-  EXPECT_EQ(profiler.Snapshot().phases.at("export").count, 1);
-}
-
 TEST(HostProfilerTest, DisabledAndNullProfilersRecordNothing) {
   HostProfiler profiler;
-  profiler.set_enabled(false);
-  { HostProfiler::Phase phase(&profiler, "simulate"); }
-  { HostProfiler::Phase phase(nullptr, "simulate"); }
+  { PhaseScope phase(nullptr, nullptr, "simulate"); }
   EXPECT_TRUE(profiler.Snapshot().phases.empty());
+}
+
+TEST(PhaseScopeTest, OneNameFeedsThePhaseTheSpanAndTheMarkerFrame) {
+  prof::ThreadRegistration registration("phase-scope-test");
+  prof::ProfOptions options;
+  options.enabled = true;
+  options.hz = 997.0;
+  prof::Profiler cpu(options);
+  ASSERT_TRUE(cpu.Start().ok());
+  const prof::ThreadEntry* entry = prof::CurrentThreadEntry();
+  ASSERT_NE(entry, nullptr);
+
+  HostProfiler sink;
+  Tracer tracer;
+  uint64_t frames[prof::kMaxMarkerDepth];
+  int depth = 0;
+  {
+    PhaseScope phase(&sink, &tracer, "export");
+    depth = entry->stack.Snapshot(frames);
+  }
+  EXPECT_EQ(entry->stack.depth(), 0u);
+  cpu.Stop();
+
+  ASSERT_EQ(depth, 1);
+  EXPECT_EQ(prof::FrameKindOf(frames[0]), prof::FrameKind::kPhase);
+  EXPECT_EQ(prof::LookupName(prof::FrameNameOf(frames[0])), "export");
+
+  const HostProfile profile = sink.Snapshot();
+  ASSERT_EQ(profile.phases.size(), 1u);
+  EXPECT_EQ(profile.phases.begin()->first, "export");
+  EXPECT_EQ(profile.phases.begin()->second.count, 1);
+
+  const Json events = tracer.ToJson()["traceEvents"];
+  std::vector<std::string> spans;
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (events.at(i)["cat"].AsString() == "phase") {
+      spans.push_back(events.at(i)["name"].AsString());
+    }
+  }
+  EXPECT_EQ(spans, std::vector<std::string>{"export"});
 }
 
 TEST(HostProfilerTest, UsageSamplesAreSane) {
@@ -51,13 +80,6 @@ TEST(HostProfilerTest, UsageSamplesAreSane) {
   EXPECT_GT(usage.rss_kb, 0);
   EXPECT_GE(usage.peak_rss_kb, usage.rss_kb);
 #endif
-}
-
-TEST(HostProfilerTest, ResetClearsPhases) {
-  HostProfiler profiler;
-  profiler.RecordPhase("simulate", 1.0);
-  profiler.Reset();
-  EXPECT_TRUE(profiler.Snapshot().phases.empty());
 }
 
 TEST(HostProfilerTest, ExportToSetsHostGauges) {

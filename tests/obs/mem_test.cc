@@ -163,7 +163,7 @@ TEST(MemProfilerTest, LiveBytesTrackRetentionAndPeak) {
 
   // Host RSS high-water mark (satellite: getrusage, bytes) must bound the
   // sampled heap estimate from above for this modest allocation volume.
-  const HostUsage usage = HostProfiler::Global().SampleUsage();
+  const HostUsage usage = HostProfiler().SampleUsage();
   if (usage.peak_rss_bytes > 0) {
     EXPECT_GE(usage.peak_rss_bytes, profile.peak_heap_bytes);
     EXPECT_EQ(usage.peak_rss_kb, usage.peak_rss_bytes / 1024);

@@ -147,7 +147,9 @@ TEST(SimObsTest, ArtifactBundleWritesAllThreeFiles) {
   const std::string dir =
       ::testing::TempDir() + "/pdsp_obs_bundle_" +
       std::to_string(::testing::UnitTest::GetInstance()->random_seed());
-  Status st = obs::WriteRunArtifacts(dir, *r, &tracer);
+  obs::ArtifactOptions artifacts;
+  artifacts.tracer = &tracer;
+  Status st = obs::WriteRunArtifacts(dir, *r, artifacts);
   ASSERT_TRUE(st.ok()) << st.ToString();
 
   for (const char* file : {"metrics.json", "timeseries.csv", "trace.json"}) {

@@ -223,7 +223,9 @@ step "profiled run smoke (--profile + artifacts + flame-graph report)"
 # A profiled 2-cell sweep end-to-end: the sampling CPU profiler on at a
 # high cadence, artifact bundles under a fresh directory, then a report over
 # the ledger. Validates the profile.json schema and its telescoping
-# invariant (folded == total == operators == phases) and that the report
+# invariant (folded == total == operators == phases), that each bundle
+# names its phases alike in host_profile.json, trace.json and profile.json
+# and holds only its own cell's single simulate scope, and that the report
 # embeds a flame graph while its chart marker still matches the <svg> count.
 PROF_DIR="$BUILD_DIR/ci_prof_artifacts"
 PROF_LEDGER="$BUILD_DIR/ci_prof_ledger.jsonl"
@@ -251,14 +253,24 @@ for path in profiles:
             f"{path}: {key} sum {s} != total {total} (telescoping broken)"
     assert any(o["name"] not in ("(none)", "(torn)") for o in p["operators"]), \
         f"{path}: no operator attribution"
+    bundle = path[:-len("profile.json")]
+    host = json.load(open(bundle + "host_profile.json"))["phases"]
+    trace = json.load(open(bundle + "trace.json"))["traceEvents"]
+    spans = {e["name"] for e in trace if e["cat"] == "phase"}
+    assert set(host) == spans, \
+        f"{bundle}: host phases {sorted(host)} != trace spans {sorted(spans)}"
+    stray = {e["name"] for e in p["phases"]} - set(host) - {"(none)", "(torn)"}
+    assert not stray, f"{bundle}: profile phases {sorted(stray)} not host phases"
+    assert host["simulate"]["count"] == 1, \
+        f"{bundle}: simulate count {host['simulate']['count']}, want 1"
 html = open(sys.argv[2]).read()
 assert "CPU flame graph" in html, "report lacks the flame-graph section"
 m = re.search(r"<!-- pdsp-report charts=(\d+) ", html)
 assert m, "missing pdsp-report marker comment"
 charts, svgs = int(m.group(1)), html.count("<svg")
 assert svgs == charts, f"marker says {charts} charts, found {svgs} <svg>"
-print(f"profiled smoke: {len(profiles)} bundles telescoped, "
-      f"report embeds {svgs} charts incl. flame graphs")
+print(f"profiled smoke: {len(profiles)} bundles telescoped, phase names "
+      f"agree, report embeds {svgs} charts incl. flame graphs")
 EOF
 else
   echo "python3 not found; profiled artifacts generated but unchecked"

@@ -77,12 +77,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/analysis/analyzer.h"
@@ -155,6 +159,26 @@ bool ParseArg(const char* arg, const char* name, std::string* out) {
   const std::string prefix = std::string("--") + name + "=";
   if (std::strncmp(arg, prefix.c_str(), prefix.size()) != 0) return false;
   *out = arg + prefix.size();
+  return true;
+}
+
+/// Reads the value of numeric flag --`name`: all of `value` must be one
+/// number that fits T (and, for floating point, is finite). Otherwise
+/// prints a message naming the flag and returns false; callers then exit
+/// with the usage status 2.
+template <typename T>
+bool ParseNumber(const char* name, const std::string& value, T* out) {
+  const char* end = value.data() + value.size();
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(parsed);
+  if (!ok) {
+    std::fprintf(stderr, "invalid value '%s' for --%s\n", value.c_str(),
+                 name);
+    return false;
+  }
+  *out = parsed;
   return true;
 }
 
@@ -277,11 +301,11 @@ int AnalyzeMain(int argc, char** argv) {
       dataflow = true;
     } else if (ParseArg(argv[i], "cluster", &cluster_name)) {
     } else if (ParseArg(argv[i], "nodes", &value)) {
-      nodes = std::atoi(value.c_str());
+      if (!ParseNumber("nodes", value, &nodes)) return 2;
     } else if (ParseArg(argv[i], "parallelism", &value)) {
-      parallelism = std::atoi(value.c_str());
+      if (!ParseNumber("parallelism", value, &parallelism)) return 2;
     } else if (ParseArg(argv[i], "rate", &value)) {
-      rate = std::atof(value.c_str());
+      if (!ParseNumber("rate", value, &rate)) return 2;
     } else if (argv[i][0] != '-' && target.empty()) {
       target = argv[i];
     } else {
@@ -437,15 +461,15 @@ int DiagnoseMain(int argc, char** argv) {
       explain = true;
     } else if (ParseArg(argv[i], "cluster", &cluster_name)) {
     } else if (ParseArg(argv[i], "nodes", &value)) {
-      nodes = std::atoi(value.c_str());
+      if (!ParseNumber("nodes", value, &nodes)) return 2;
     } else if (ParseArg(argv[i], "parallelism", &value)) {
-      parallelism = std::atoi(value.c_str());
+      if (!ParseNumber("parallelism", value, &parallelism)) return 2;
     } else if (ParseArg(argv[i], "rate", &value)) {
-      rate = std::atof(value.c_str());
+      if (!ParseNumber("rate", value, &rate)) return 2;
     } else if (ParseArg(argv[i], "duration", &value)) {
-      duration = std::atof(value.c_str());
+      if (!ParseNumber("duration", value, &duration)) return 2;
     } else if (ParseArg(argv[i], "seed", &value)) {
-      seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber("seed", value, &seed)) return 2;
     } else if (argv[i][0] != '-' && target.empty()) {
       target = argv[i];
     } else {
@@ -622,7 +646,7 @@ int HistoryMain(int argc, char** argv) {
     } else if (ParseArg(argv[i], "app", &app_filter)) {
     } else if (ParseArg(argv[i], "format", &format)) {
     } else if (ParseArg(argv[i], "limit", &value)) {
-      limit = static_cast<size_t>(std::atoll(value.c_str()));
+      if (!ParseNumber("limit", value, &limit)) return 2;
     } else if (argv[i][0] != '-' && target.empty()) {
       target = argv[i];
     } else {
@@ -754,9 +778,9 @@ int CompareMain(int argc, char** argv) {
       json = true;
     } else if (ParseArg(argv[i], "ledger", &ledger_path)) {
     } else if (ParseArg(argv[i], "threshold", &value)) {
-      options.threshold = std::atof(value.c_str());
+      if (!ParseNumber("threshold", value, &options.threshold)) return 2;
     } else if (ParseArg(argv[i], "sigmas", &value)) {
-      options.noise_sigmas = std::atof(value.c_str());
+      if (!ParseNumber("sigmas", value, &options.noise_sigmas)) return 2;
     } else if (argv[i][0] != '-') {
       specs.push_back(argv[i]);
     } else {
@@ -827,11 +851,7 @@ Result<obs::RunRecord> MeasureForLedger(const std::string& label,
                                         double rate, int parallelism,
                                         const Cluster& cluster,
                                         RunProtocol protocol) {
-  Result<LogicalPlan> plan = [&] {
-    obs::HostProfiler::Phase phase(&obs::HostProfiler::Global(),
-                                   "build-plan");
-    return BuildPlanByLabel(label, rate, parallelism);
-  }();
+  Result<LogicalPlan> plan = BuildPlanByLabel(label, rate, parallelism);
   PDSP_RETURN_NOT_OK(plan.status());
   protocol.label = label;
   PDSP_ASSIGN_OR_RETURN(CellResult cell,
@@ -861,21 +881,21 @@ int BaselineMain(int argc, char** argv) {
                ParseArg(argv[i], "ledger", &ledger_path) ||
                ParseArg(argv[i], "cluster", &cluster_name)) {
     } else if (ParseArg(argv[i], "nodes", &value)) {
-      nodes = std::atoi(value.c_str());
+      if (!ParseNumber("nodes", value, &nodes)) return 2;
     } else if (ParseArg(argv[i], "parallelism", &value)) {
-      parallelism = std::atoi(value.c_str());
+      if (!ParseNumber("parallelism", value, &parallelism)) return 2;
     } else if (ParseArg(argv[i], "rate", &value)) {
-      rate = std::atof(value.c_str());
+      if (!ParseNumber("rate", value, &rate)) return 2;
     } else if (ParseArg(argv[i], "repeats", &value)) {
-      repeats = std::atoi(value.c_str());
+      if (!ParseNumber("repeats", value, &repeats)) return 2;
     } else if (ParseArg(argv[i], "duration", &value)) {
-      duration = std::atof(value.c_str());
+      if (!ParseNumber("duration", value, &duration)) return 2;
     } else if (ParseArg(argv[i], "seed", &value)) {
-      seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber("seed", value, &seed)) return 2;
     } else if (ParseArg(argv[i], "threshold", &value)) {
-      options.threshold = std::atof(value.c_str());
+      if (!ParseNumber("threshold", value, &options.threshold)) return 2;
     } else if (ParseArg(argv[i], "sigmas", &value)) {
-      options.noise_sigmas = std::atof(value.c_str());
+      if (!ParseNumber("sigmas", value, &options.noise_sigmas)) return 2;
     } else if (argv[i][0] != '-' && verb.empty()) {
       verb = argv[i];
     } else if (argv[i][0] != '-' && target.empty()) {
@@ -1054,11 +1074,15 @@ int ReportMain(int argc, char** argv) {
         ParseArg(argv[i], "app", &options.app_filter) ||
         ParseArg(argv[i], "title", &options.title)) {
     } else if (ParseArg(argv[i], "limit", &value)) {
-      options.limit = static_cast<size_t>(std::atoll(value.c_str()));
+      if (!ParseNumber("limit", value, &options.limit)) return 2;
     } else if (ParseArg(argv[i], "threshold", &value)) {
-      options.compare.threshold = std::atof(value.c_str());
+      if (!ParseNumber("threshold", value, &options.compare.threshold)) {
+        return 2;
+      }
     } else if (ParseArg(argv[i], "sigmas", &value)) {
-      options.compare.noise_sigmas = std::atof(value.c_str());
+      if (!ParseNumber("sigmas", value, &options.compare.noise_sigmas)) {
+        return 2;
+      }
     } else if (argv[i][0] != '-' && input.empty()) {
       input = argv[i];
     } else {
@@ -1323,12 +1347,14 @@ int Main(int argc, char** argv) {
       args.profile_set = true;  // bare flag keeps the default cadence
     } else if (ParseArg(argv[i], "profile", &value)) {
       args.profile_set = true;
-      args.profile_hz = std::atof(value.c_str());
+      if (!ParseNumber("profile", value, &args.profile_hz)) return 2;
     } else if (std::strcmp(argv[i], "--mem-profile") == 0) {
       args.mem_profile_set = true;  // bare flag keeps the default interval
     } else if (ParseArg(argv[i], "mem-profile", &value)) {
       args.mem_profile_set = true;
-      args.mem_interval_kib = std::atof(value.c_str());
+      if (!ParseNumber("mem-profile", value, &args.mem_interval_kib)) {
+        return 2;
+      }
     } else if (ParseArg(argv[i], "artifacts", &args.artifacts)) {
     } else if (ParseArg(argv[i], "progress-file", &args.progress_file)) {
     } else if (ParseArg(argv[i], "app", &args.app) ||
@@ -1341,22 +1367,23 @@ int Main(int argc, char** argv) {
                ParseArg(argv[i], "ledger", &args.ledger)) {
       // parsed into the struct
     } else if (ParseArg(argv[i], "rate", &value)) {
-      args.rate = std::atof(value.c_str());
+      if (!ParseNumber("rate", value, &args.rate)) return 2;
     } else if (ParseArg(argv[i], "parallelism", &value)) {
       args.degrees.clear();
       for (const std::string& part : Split(value, ',')) {
-        args.degrees.push_back(std::atoi(part.c_str()));
+        int degree = 0;
+        if (!ParseNumber("parallelism", part, &degree)) return 2;
+        args.degrees.push_back(degree);
       }
-      if (args.degrees.empty()) args.degrees.push_back(0);  // caught below
       args.parallelism = args.degrees.front();
     } else if (ParseArg(argv[i], "jobs", &value)) {
-      args.jobs = std::atoi(value.c_str());
+      if (!ParseNumber("jobs", value, &args.jobs)) return 2;
     } else if (ParseArg(argv[i], "nodes", &value)) {
-      args.nodes = std::atoi(value.c_str());
+      if (!ParseNumber("nodes", value, &args.nodes)) return 2;
     } else if (ParseArg(argv[i], "duration", &value)) {
-      args.duration = std::atof(value.c_str());
+      if (!ParseNumber("duration", value, &args.duration)) return 2;
     } else if (ParseArg(argv[i], "seed", &value)) {
-      args.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber("seed", value, &args.seed)) return 2;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return Usage();
@@ -1398,8 +1425,6 @@ int Main(int argc, char** argv) {
   }
 
   Result<LogicalPlan> plan = Status::Internal("unreachable");
-  obs::HostProfiler::Phase build_phase(&obs::HostProfiler::Global(),
-                                       "build-plan");
   if (!args.load.empty()) {
     RunStore store(args.store_dir);
     plan = store.LoadPlan(args.load);
@@ -1437,7 +1462,6 @@ int Main(int argc, char** argv) {
     opt.parallelism = args.parallelism;
     plan = MakeCanonicalSynthetic(structure, opt);
   }
-  build_phase.End();
   if (!plan.ok()) {
     std::fprintf(stderr, "plan: %s\n", plan.status().ToString().c_str());
     return 1;
@@ -1507,13 +1531,15 @@ int Main(int argc, char** argv) {
     }
   }
   Result<SimResult> result = Status::Internal("unreachable");
+  const auto run_start = std::chrono::steady_clock::now();
   {
-    obs::HostProfiler::Phase phase(&obs::HostProfiler::Global(), "simulate");
     obs::prof::ProfScope app_scope(obs::prof::FrameKind::kApp, run_label);
-    obs::prof::ProfScope phase_scope(obs::prof::FrameKind::kPhase,
-                                     "simulate");
+    obs::PhaseScope phase(nullptr, nullptr, "simulate");
     result = ExecutePlan(*plan, *cluster, exec);
   }
+  const double run_wall_s = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - run_start)
+                                .count();
   obs::prof::CpuProfile profile;
   if (profiler.running()) profile = profiler.Stop();
   obs::mem::MemProfile mem_profile;
@@ -1605,7 +1631,8 @@ int Main(int argc, char** argv) {
       cell.mem_profile = mem_profile;
       cell.has_mem_profile = true;
     }
-    obs::RunRecord record = MakeLedgerRecord(*plan, *cluster, protocol, cell);
+    obs::RunRecord record =
+        MakeLedgerRecord(*plan, *cluster, protocol, cell, run_wall_s);
     Status appended = obs::RunLedger(args.ledger).Append(record);
     if (appended.ok()) {
       std::printf("ledger: appended %s to %s\n\n", record.run_id.c_str(),
