@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/apps/apps.h"
@@ -33,15 +34,38 @@ OperatorUnderTest Instantiate(const LogicalPlan& plan, const char* name) {
           data::Batch(LayoutForSchema(plan.OutputSchema(id)))};
 }
 
-// Rewrites `row` to one (key, val) row at event time t.
-void KeyValueRow(Rng* rng, double t, data::Batch* row) {
+// Rewrites `row` to one (key, val) row at event time t, the key uniform in
+// [1, keys].
+void KeyValueRow(Rng* rng, int64_t keys, double t, data::Batch* row) {
   row->Clear();
-  row->AppendInt(0, rng->UniformInt(1, 100));
+  row->AppendInt(0, rng->UniformInt(1, keys));
   row->AppendDouble(1, rng->Uniform(0.0, 100.0));
   row->FinishRow(t, t, kNoAttr);
 }
 
 const data::BatchLayout kKeyValueLayout({DataType::kInt, DataType::kDouble});
+const data::BatchLayout kWordValueLayout({DataType::kString,
+                                          DataType::kDouble});
+
+// source(word:string, val:double) -> window_agg(sum val by word, 1 s
+// tumbling) -> sink: the string-keyed twin of LinearPlan's aggregate.
+Result<LogicalPlan> WordAggPlan() {
+  StreamSpec stream;
+  (void)stream.schema.AddField({"word", DataType::kString});
+  (void)stream.schema.AddField({"val", DataType::kDouble});
+  FieldGeneratorSpec word;
+  word.dist = FieldDistribution::kWordString;
+  FieldGeneratorSpec val;
+  val.dist = FieldDistribution::kUniformDouble;
+  stream.specs = {word, val};
+  PlanBuilder b;
+  auto src = b.Source("src", stream, testing::PoissonArrival(1000.0));
+  WindowSpec win;
+  win.duration_ms = 1000.0;
+  auto agg = b.WindowAggregate("agg", src, win, AggregateFn::kSum, 1, 0);
+  b.Sink("sink", agg);
+  return b.Build();
+}
 
 void BM_FilterProcess(benchmark::State& state) {
   auto plan = testing::LinearPlan();
@@ -50,7 +74,7 @@ void BM_FilterProcess(benchmark::State& state) {
   data::Batch in(kKeyValueLayout);
   double t = 0.0;
   for (auto _ : state) {
-    KeyValueRow(&rng, t, &in);
+    KeyValueRow(&rng, 100, t, &in);
     op.out.Clear();
     benchmark::DoNotOptimize(op.inst->ProcessBatch(in, 0, 1, 0, t, &op.out));
     t += 1e-5;
@@ -58,6 +82,16 @@ void BM_FilterProcess(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterProcess);
 
+// Aggregates emit only when a pane fires, so their output batch is cleared
+// only then: Batch::Clear also resets the string intern table, which costs
+// as much as the largest fire so far and would swamp a string-keyed run.
+void ClearAfterFire(data::Batch* out) {
+  if (out->NumRows() > 0) out->Clear();
+}
+
+// The window-state benchmarks take the key count as their argument: 100
+// keys stay cache-resident, 100,000 keys (about as many as a 1 s pane or
+// join window holds rows here) make every row a fresh or a cold key.
 void BM_WindowAggProcess(benchmark::State& state) {
   auto plan = testing::LinearPlan();
   auto op = Instantiate(*plan, "agg");
@@ -65,14 +99,44 @@ void BM_WindowAggProcess(benchmark::State& state) {
   data::Batch in(kKeyValueLayout);
   double t = 0.0;
   for (auto _ : state) {
-    KeyValueRow(&rng, t, &in);
-    op.out.Clear();
+    KeyValueRow(&rng, state.range(0), t, &in);
+    ClearAfterFire(&op.out);
     benchmark::DoNotOptimize(op.inst->ProcessBatch(in, 0, 1, 0, t, &op.out));
     op.inst->OnTimer(t, &op.out);
     t += 1e-5;
   }
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_WindowAggProcess);
+BENCHMARK(BM_WindowAggProcess)->Arg(100)->Arg(100000);
+
+// BM_WindowAggProcess over string keys "word-<n>" (at most 10 bytes: short
+// words, as WC's).
+void BM_WindowAggStringKeyProcess(benchmark::State& state) {
+  auto plan = WordAggPlan();
+  auto op = Instantiate(*plan, "agg");
+  std::vector<std::string> words;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    // Appended piecewise: GCC 12 at -O3 misreports `"lit" + std::string&&`
+    // as an overlapping memcpy (-Werror=restrict).
+    words.emplace_back("word-");
+    words.back().append(std::to_string(i));
+  }
+  Rng rng(1);
+  data::Batch in(kWordValueLayout);
+  double t = 0.0;
+  for (auto _ : state) {
+    in.Clear();
+    in.AppendString(0, rng.Choice(words));
+    in.AppendDouble(1, rng.Uniform(0.0, 100.0));
+    in.FinishRow(t, t, kNoAttr);
+    ClearAfterFire(&op.out);
+    benchmark::DoNotOptimize(op.inst->ProcessBatch(in, 0, 1, 0, t, &op.out));
+    op.inst->OnTimer(t, &op.out);
+    t += 1e-5;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WindowAggStringKeyProcess)->Arg(100)->Arg(100000);
 
 void BM_WindowJoinProcess(benchmark::State& state) {
   auto plan = testing::TwoWayJoinPlan();
@@ -82,15 +146,16 @@ void BM_WindowJoinProcess(benchmark::State& state) {
   double t = 0.0;
   int port = 0;
   for (auto _ : state) {
-    KeyValueRow(&rng, t, &in);
+    KeyValueRow(&rng, state.range(0), t, &in);
     op.out.Clear();
     benchmark::DoNotOptimize(
         op.inst->ProcessBatch(in, 0, 1, port, t, &op.out));
     port ^= 1;
     t += 1e-5;
   }
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_WindowJoinProcess);
+BENCHMARK(BM_WindowJoinProcess)->Arg(100)->Arg(100000);
 
 // Runs one app UDO over the same single input row every iteration.
 void RunUdo(benchmark::State& state, AppId app, const char* name,

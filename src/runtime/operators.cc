@@ -2,14 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <map>
+#include <numeric>
 #include <queue>
+#include <utility>
 
 #include "src/common/rng.h"
 #include "src/common/string_util.h"
 #include "src/obs/prof.h"
 #include "src/runtime/kernels.h"
+#include "src/runtime/keyed_state.h"
 #include "src/runtime/udo.h"
 
 namespace pdsp {
@@ -190,11 +192,22 @@ class TimeWindowAggExec : public OperatorInstance {
       const double pane_end = static_cast<double>(pane) * slide_ + duration_;
       if (pane_end > now) break;
       const bool keyed = op_.key_field != OperatorDescriptor::kNoKey;
-      for (const auto& [key, state] : panes_.begin()->second) {
+      KeyedTable<AggState>& keys = panes_.begin()->second;
+      // Keys fire in key order, sorted once per pane.
+      const auto& entries = keys.entries();
+      order_.resize(entries.size());
+      std::iota(order_.begin(), order_.end(), 0u);
+      std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
+        return KeyLess(entries[a].first, entries[b].first);
+      });
+      for (const uint32_t i : order_) {
+        const auto& [key, state] = entries[i];
         if (keyed) out->AppendValue(0, key);
         out->AppendDouble(keyed ? 1 : 0, state.Finish(op_.agg_fn));
         out->FinishRow(pane_end, state.first_birth, state.first_attr_id);
       }
+      keys.Clear();
+      spare_ = std::move(keys);
       panes_.erase(panes_.begin());
       watermark_ = std::max(watermark_, pane_end);
     }
@@ -226,8 +239,11 @@ class TimeWindowAggExec : public OperatorInstance {
       if (start + duration_ <= t) break;  // pane closed before t
       if (start + duration_ <= watermark_) continue;  // pane already fired
       auto [it, inserted] = panes_.try_emplace(pane);
-      if (inserted) timer_heap_.push(start + duration_);
-      it->second[key].Add(v, birth, attr_id);
+      if (inserted) {
+        timer_heap_.push(start + duration_);
+        it->second = std::exchange(spare_, {});
+      }
+      it->second.FindOrInsert(key).Add(v, birth, attr_id);
       contributed = true;
     }
     if (!contributed) ++late_drops_;
@@ -241,7 +257,10 @@ class TimeWindowAggExec : public OperatorInstance {
   std::vector<double> vals_;  // scratch for the columnar numeric pre-pass
   uint32_t kernel_id_ = KernelMarker("aggregate-kernel");
   // pane index -> key -> aggregate state; ordered so firing pops from front.
-  std::map<int64_t, std::map<Value, AggState>> panes_;
+  std::map<int64_t, KeyedTable<AggState>> panes_;
+  // The last fired pane's emptied table, reused for the next new pane.
+  KeyedTable<AggState> spare_;
+  std::vector<uint32_t> order_;  // scratch: a firing pane's key order
   std::priority_queue<double, std::vector<double>, std::greater<>> timer_heap_;
 };
 
@@ -277,7 +296,7 @@ class CountWindowAggExec : public OperatorInstance {
 
   size_t StateSize() const override {
     size_t total = 0;
-    for (const auto& [key, buf] : buffers_) total += buf.size();
+    for (const auto& [key, buf] : buffers_.entries()) total += buf.size();
     return total;
   }
 
@@ -292,7 +311,7 @@ class CountWindowAggExec : public OperatorInstance {
   /// buffer reaches the window length.
   void AddRow(const Value& key, bool keyed, double v, double event_time,
               double birth, uint32_t attr_id, data::Batch* out) {
-    auto& buf = buffers_[key];
+    std::vector<Entry>& buf = buffers_.FindOrInsert(key);
     buf.push_back({v, birth, attr_id});
     if (static_cast<int64_t>(buf.size()) < length_) return;
     AggState state;
@@ -302,13 +321,18 @@ class CountWindowAggExec : public OperatorInstance {
     if (keyed) out->AppendValue(0, key);
     out->AppendDouble(keyed ? 1 : 0, state.Finish(op_.agg_fn));
     out->FinishRow(event_time, state.first_birth, state.first_attr_id);
-    for (int64_t i = 0; i < slide_ && !buf.empty(); ++i) buf.pop_front();
+    // Firing already walked the whole buffer, so sliding it is no dearer.
+    buf.erase(buf.begin(),
+              buf.begin() + std::min<int64_t>(
+                                slide_, static_cast<int64_t>(buf.size())));
   }
 
   OperatorDescriptor op_;
   int64_t length_;
   int64_t slide_;
-  std::map<Value, std::deque<Entry>> buffers_;
+  // Vectors, not deques: entries move when the table grows, and a vector
+  // moves without allocating.
+  KeyedTable<std::vector<Entry>> buffers_;
   std::vector<double> vals_;
   uint32_t kernel_id_ = KernelMarker("aggregate-kernel");
 };
@@ -341,9 +365,8 @@ class WindowJoinExec : public OperatorInstance {
       Entry e{in.RowTuple(row), in.birth(row), in.attr_id(row)};
 
       // Evict expired entries from the probed key bucket (time policy).
-      auto other_it = other.buffers.find(key);
-      if (other_it != other.buffers.end()) {
-        auto& buf = other_it->second;
+      if (std::vector<Entry>* probed = other.buffers.Find(key)) {
+        std::vector<Entry>& buf = *probed;
         if (op_.window.policy == WindowPolicy::kTime) {
           size_t expired = 0;
           while (expired < buf.size() &&
@@ -375,11 +398,11 @@ class WindowJoinExec : public OperatorInstance {
                          std::min(e.birth, match.birth),
                          e.birth <= match.birth ? e.attr_id : match.attr_id);
         }
-        if (buf.empty()) other.buffers.erase(other_it);
+        if (buf.empty()) other.buffers.Erase(key);
       }
 
       // Insert into own buffer and evict.
-      auto& own = mine.buffers[key];
+      std::vector<Entry>& own = mine.buffers.FindOrInsert(key);
       own.push_back(std::move(e));
       ++mine.total;
       if (op_.window.policy == WindowPolicy::kTime) {
@@ -418,7 +441,7 @@ class WindowJoinExec : public OperatorInstance {
     // Per-key buckets hold only a handful of in-window rows each, so a
     // small vector beats a deque (whose minimum allocation is ~512B — with
     // ID-like join keys that caused hundreds of MB of allocator churn).
-    std::map<Value, std::vector<Entry>> buffers;
+    KeyedTable<std::vector<Entry>> buffers;
     size_t total = 0;
   };
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "tests/testing/operator_driver.h"
 #include "tests/testing/test_plans.h"
@@ -230,6 +232,100 @@ TEST(CountWindowAggTest, PerKeyCountsAreIndependent) {
   EXPECT_DOUBLE_EQ(out[0].tuple.values[1].AsDouble(), 4.0);
 }
 
+TEST(TimeWindowAggTest, KeysFireInAscendingOrder) {
+  WindowSpec win;
+  win.duration_ms = 1000.0;
+  auto inst = MakeAggInstance(win, AggregateFn::kSum, 1, 0);
+  auto& out = inst.out();
+  for (int key = 9; key >= 1; --key) {
+    ASSERT_TRUE(inst.Push(MakeRow({Value(key), Value(1.0)}, 0.5), 0, 0.5).ok());
+  }
+  inst.Fire(1.0);
+  ASSERT_EQ(out.size(), 9u);
+  for (int i = 0; i < 9; ++i) EXPECT_EQ(out[i].tuple.values[0].AsInt(), i + 1);
+}
+
+TEST(TimeWindowAggTest, IntAndIntegralDoubleKeysAreOneGroup) {
+  WindowSpec win;
+  win.duration_ms = 1000.0;
+  auto inst = MakeAggInstance(win, AggregateFn::kSum, 1, 0);
+  auto& out = inst.out();
+  ASSERT_TRUE(inst.Push(MakeRow({Value(3), Value(1.0)}, 0.1), 0, 0.1).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(3.0), Value(2.0)}, 0.2), 0, 0.2).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(4), Value(4.0)}, 0.3), 0, 0.3).ok());
+  inst.Fire(1.0);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].tuple.values[0].AsInt(), 3);  // the group's first key
+  EXPECT_DOUBLE_EQ(out[0].tuple.values[1].AsDouble(), 3.0);
+  EXPECT_EQ(out[1].tuple.values[0].AsInt(), 4);
+}
+
+// NaN keys (a double key column) are one group, fired after every number.
+TEST(TimeWindowAggTest, NaNKeysAreOneGroupFiredLast) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  WindowSpec win;
+  win.duration_ms = 1000.0;
+  auto inst = MakeAggInstance(win, AggregateFn::kSum, 1, 0);
+  auto& out = inst.out();
+  ASSERT_TRUE(inst.Push(MakeRow({Value(nan), Value(1.0)}, 0.1), 0, 0.1).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(5.0), Value(2.0)}, 0.2), 0, 0.2).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(-nan), Value(4.0)}, 0.3), 0, 0.3).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(1e300), Value(8.0)}, 0.4), 0, 0.4).ok());
+  inst.Fire(1.0);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_DOUBLE_EQ(out[0].tuple.values[0].AsNumeric(), 5.0);
+  EXPECT_DOUBLE_EQ(out[0].tuple.values[1].AsDouble(), 2.0);
+  EXPECT_DOUBLE_EQ(out[1].tuple.values[0].AsNumeric(), 1e300);
+  EXPECT_TRUE(std::isnan(out[2].tuple.values[0].AsNumeric()));
+  EXPECT_DOUBLE_EQ(out[2].tuple.values[1].AsDouble(), 5.0);
+}
+
+// Rows (key, 1.0) at event time `t` whose key column is promoted to the
+// dynamically typed fallback, so strings and numbers share it.
+data::Batch PromotedKeyBatch(const std::vector<Value>& keys, double t) {
+  data::Batch batch{data::BatchLayout({DataType::kInt, DataType::kDouble})};
+  for (const Value& key : keys) {
+    batch.AppendValue(0, key);
+    batch.AppendDouble(1, 1.0);
+    batch.FinishRow(t, t, kNoAttr);
+  }
+  return batch;
+}
+
+// In a promoted key column a string is never the number of its length, and
+// strings group after numbers.
+TEST(TimeWindowAggTest, PromotedStringKeysNeverEqualNumbers) {
+  WindowSpec win;
+  win.duration_ms = 1000.0;
+  auto inst = MakeAggInstance(win, AggregateFn::kSum, 1, 0);
+  auto& out = inst.out();
+  const data::Batch in =
+      PromotedKeyBatch({Value("abc"), Value(3), Value("abc"), Value(7)}, 0.5);
+  ASSERT_TRUE(in.column_promoted(0));
+  ASSERT_TRUE(inst.Push(in, 0, 0.5).ok());
+  inst.Fire(1.0);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].tuple.values[0].AsInt(), 3);
+  EXPECT_DOUBLE_EQ(out[0].tuple.values[1].AsDouble(), 1.0);
+  EXPECT_EQ(out[1].tuple.values[0].AsInt(), 7);
+  EXPECT_EQ(out[2].tuple.values[0].AsString(), "abc");
+  EXPECT_DOUBLE_EQ(out[2].tuple.values[1].AsDouble(), 2.0);
+}
+
+TEST(CountWindowAggTest, IntAndIntegralDoubleKeysShareOneBuffer) {
+  WindowSpec win;
+  win.policy = WindowPolicy::kCount;
+  win.length_tuples = 2;
+  auto inst = MakeAggInstance(win, AggregateFn::kSum, 1, 0);
+  auto& out = inst.out();
+  ASSERT_TRUE(inst.Push(MakeRow({Value(3), Value(1.0)}, 0.1), 0, 0.1).ok());
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(3.0), Value(2.0)}, 0.2), 0, 0.2).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_DOUBLE_EQ(out[0].tuple.values[1].AsDouble(), 3.0);
+  EXPECT_EQ(inst.op()->StateSize(), 0u);
+}
+
 OperatorDriver MakeJoinInstance(WindowSpec win) {
   PlanBuilder b;
   auto s1 = b.Source("s1", KeyValueStream(), PoissonArrival(100));
@@ -309,6 +405,52 @@ TEST(WindowJoinTest, CountPolicyBoundsBuffer) {
   EXPECT_EQ(inst.op()->StateSize(), 2u);
   ASSERT_TRUE(inst.Push(MakeRow({Value(7), Value(99.0)}, 1.5), 1, 1.5).ok());
   EXPECT_EQ(out.size(), 2u);
+}
+
+TEST(WindowJoinTest, IntAndIntegralDoubleKeysMatch) {
+  WindowSpec win;
+  win.duration_ms = 1000.0;
+  auto inst = MakeJoinInstance(win);
+  auto& out = inst.out();
+  ASSERT_TRUE(inst.Push(MakeRow({Value(3), Value(1.0)}, 0.1), 0, 0.1).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(3.0), Value(2.0)}, 0.2), 1, 0.2).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(3), Value(4.0)}, 0.3), 0, 0.3).ok());
+  EXPECT_EQ(out.size(), 2u);
+}
+
+// NaN keys match each other and nothing else.
+TEST(WindowJoinTest, NaNKeysMatchOnlyEachOther) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  WindowSpec win;
+  win.duration_ms = 1000.0;
+  auto inst = MakeJoinInstance(win);
+  auto& out = inst.out();
+  ASSERT_TRUE(inst.Push(MakeRow({Value(7.0), Value(1.0)}, 0.1), 0, 0.1).ok());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(nan), Value(2.0)}, 0.2), 1, 0.2).ok());
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(inst.Push(MakeRow({Value(-nan), Value(3.0)}, 0.3), 0, 0.3).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_DOUBLE_EQ(out[0].tuple.values[1].AsDouble(), 3.0);  // l_val
+  EXPECT_DOUBLE_EQ(out[0].tuple.values[3].AsDouble(), 2.0);  // r_val
+}
+
+TEST(WindowJoinTest, PromotedStringKeysNeverMatchNumbers) {
+  WindowSpec win;
+  win.duration_ms = 1000.0;
+  auto inst = MakeJoinInstance(win);
+  auto& out = inst.out();
+  const data::Batch left = PromotedKeyBatch({Value("abc"), Value(3)}, 0.1);
+  ASSERT_TRUE(left.column_promoted(0));
+  ASSERT_TRUE(inst.Push(left, 0, 0.1).ok());
+  // "abc" has length 3, yet only the left 3 matches the right 3.0 ...
+  ASSERT_TRUE(inst.Push(MakeRow({Value(3.0), Value(2.0)}, 0.2), 1, 0.2).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].tuple.values[0].AsInt(), 3);
+  // ... and only the left "abc" matches a right "abc".
+  ASSERT_TRUE(
+      inst.Push(PromotedKeyBatch({Value("abc")}, 0.3), 1, 0.3).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].tuple.values[0].AsString(), "abc");
 }
 
 TEST(WindowJoinTest, BadPortRejected) {

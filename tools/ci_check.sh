@@ -15,7 +15,7 @@
 #   PDSP_SKIP_TSAN  set to 1 to skip the ThreadSanitizer pass over the
 #                   concurrency-sensitive suites (exec/sim/obs/harness).
 #   PDSP_SKIP_UBSAN set to 1 to skip the UndefinedBehaviorSanitizer pass
-#                   over the analysis/sim/exec/property suites.
+#                   over the analysis/sim/exec/property/runtime suites.
 #   JOBS            parallel build jobs (default: nproc).
 
 set -eu
@@ -85,18 +85,19 @@ if [ "${PDSP_SKIP_TSAN:-0}" != "1" ]; then
 fi
 
 if [ "${PDSP_SKIP_UBSAN:-0}" != "1" ]; then
-  step "UndefinedBehaviorSanitizer pass (analysis/sim/exec/property suites)"
+  step "UndefinedBehaviorSanitizer pass (analysis/sim/exec/property/runtime suites)"
   # The dataflow analyses lean on floating-point interval arithmetic
   # (widening multiplications, infinity-valued fallbacks, rate/capacity
-  # divisions) and the simulator on integer event accounting — exactly the
-  # code UBSan's float-cast/overflow/shift checks exercise. Same separate-
-  # tree rationale as the TSan block above.
+  # divisions), the simulator on integer event accounting and the keyed
+  # operator state on slot mask and index arithmetic — exactly the code
+  # UBSan's float-cast/overflow/shift checks exercise. Same separate-tree
+  # rationale as the TSan block above.
   UBSAN_DIR="${BUILD_DIR}-ubsan"
   cmake -B "$UBSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DPDSP_SANITIZE=undefined
   cmake --build "$UBSAN_DIR" -j "$JOBS" \
-        --target analysis_test sim_test exec_test property_test
-  for t in analysis_test sim_test exec_test property_test; do
+        --target analysis_test sim_test exec_test property_test runtime_test
+  for t in analysis_test sim_test exec_test property_test runtime_test; do
     echo "--- ubsan: $t ---"
     UBSAN_OPTIONS=halt_on_error=1 "$UBSAN_DIR/tests/$t"
   done
