@@ -12,6 +12,7 @@
 
 #include "src/apps/apps.h"
 #include "src/data/batch.h"
+#include "src/data/generator.h"
 #include "src/query/batch_layout.h"
 #include "src/runtime/kernels.h"
 #include "src/runtime/operators.h"
@@ -82,13 +83,6 @@ void BM_FilterProcess(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterProcess);
 
-// Aggregates emit only when a pane fires, so their output batch is cleared
-// only then: Batch::Clear also resets the string intern table, which costs
-// as much as the largest fire so far and would swamp a string-keyed run.
-void ClearAfterFire(data::Batch* out) {
-  if (out->NumRows() > 0) out->Clear();
-}
-
 // The window-state benchmarks take the key count as their argument: 100
 // keys stay cache-resident, 100,000 keys (about as many as a 1 s pane or
 // join window holds rows here) make every row a fresh or a cold key.
@@ -100,7 +94,7 @@ void BM_WindowAggProcess(benchmark::State& state) {
   double t = 0.0;
   for (auto _ : state) {
     KeyValueRow(&rng, state.range(0), t, &in);
-    ClearAfterFire(&op.out);
+    op.out.Clear();
     benchmark::DoNotOptimize(op.inst->ProcessBatch(in, 0, 1, 0, t, &op.out));
     op.inst->OnTimer(t, &op.out);
     t += 1e-5;
@@ -129,7 +123,7 @@ void BM_WindowAggStringKeyProcess(benchmark::State& state) {
     in.AppendString(0, rng.Choice(words));
     in.AppendDouble(1, rng.Uniform(0.0, 100.0));
     in.FinishRow(t, t, kNoAttr);
-    ClearAfterFire(&op.out);
+    op.out.Clear();
     benchmark::DoNotOptimize(op.inst->ProcessBatch(in, 0, 1, 0, t, &op.out));
     op.inst->OnTimer(t, &op.out);
     t += 1e-5;
@@ -178,6 +172,34 @@ void BM_UdoSentimentScore(benchmark::State& state) {
 }
 BENCHMARK(BM_UdoSentimentScore);
 
+// WC's tokenize UDO over a 64-row batch of 9-word sentences; items are
+// sentences.
+void BM_UdoTokenize(benchmark::State& state) {
+  RegisterAppUdos();
+  AppOptions opt;
+  auto plan = MakeApp(AppId::kWordCount, opt);
+  auto op = Instantiate(*plan, "tokenize");
+  constexpr size_t kRows = 64;
+  data::Batch in(data::BatchLayout({DataType::kString}));
+  Rng rng(1);
+  for (size_t r = 0; r < kRows; ++r) {
+    std::string sentence;
+    for (int w = 0; w < 9; ++w) {
+      if (w > 0) sentence.push_back(' ');
+      sentence.append(DictionaryWord(rng.Zipf(5000, 1.0)));
+    }
+    in.AppendString(0, sentence);
+    in.FinishRow(0.0, 0.0, kNoAttr);
+  }
+  for (auto _ : state) {
+    op.out.Clear();
+    benchmark::DoNotOptimize(
+        op.inst->ProcessBatch(in, 0, kRows, 0, 0.0, &op.out));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kRows));
+}
+BENCHMARK(BM_UdoTokenize);
+
 void BM_UdoMapMatch(benchmark::State& state) {
   RunUdo(state, AppId::kTrafficMonitoring, "map_match",
          {Value(1), Value(48.51), Value(8.52), Value(88.0)});
@@ -211,6 +233,31 @@ data::Batch KeyValueBatch(size_t rows, uint64_t seed) {
   }
   return b;
 }
+
+// An engine-style reused output batch: one firing of 10^5 distinct short
+// strings, then firings of 64 short strings, each appended and cleared;
+// items are strings.
+void BM_InternAfterLargeBatch(benchmark::State& state) {
+  data::Batch b(data::BatchLayout({DataType::kString}));
+  for (int64_t i = 0; i < 100000; ++i) {
+    b.AppendString(0, DictionaryWord(i));
+    b.FinishRow(0.0, 0.0, kNoAttr);
+  }
+  b.Clear();
+  std::vector<std::string> words;
+  for (int64_t i = 0; i < 64; ++i) words.push_back(DictionaryWord(i % 40));
+  for (auto _ : state) {
+    for (const std::string& word : words) {
+      b.AppendString(0, word);
+      b.FinishRow(0.0, 0.0, kNoAttr);
+    }
+    benchmark::DoNotOptimize(b.NumRows());
+    b.Clear();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(words.size()));
+}
+BENCHMARK(BM_InternAfterLargeBatch);
 
 void BM_BatchFilterKernel(benchmark::State& state) {
   auto plan = testing::LinearPlan();

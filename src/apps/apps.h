@@ -9,6 +9,7 @@
 #define PDSP_APPS_APPS_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
@@ -77,7 +78,7 @@ void RegisterAppUdos();
 
 /// Synthetic sentiment lexicon shared by the SA app and its tests: the
 /// polarity of a dictionary word (+1 positive, -1 negative, 0 neutral).
-int WordPolarity(const std::string& word);
+int WordPolarity(std::string_view word);
 
 }  // namespace pdsp
 

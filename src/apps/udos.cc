@@ -7,8 +7,12 @@
 #include <cmath>
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
+#include <string_view>
 #include <unordered_set>
+#include <vector>
 
 #include "src/apps/apps.h"
 #include "src/common/string_util.h"
@@ -16,7 +20,7 @@
 
 namespace pdsp {
 
-int WordPolarity(const std::string& word) {
+int WordPolarity(std::string_view word) {
   // Deterministic synthetic lexicon: a word's polarity derives from a stable
   // hash of its characters, giving ~20% positive, ~20% negative words.
   uint64_t h = 1469598103934665603ULL;
@@ -38,12 +42,16 @@ namespace {
 class TokenizeWordsUdo : public Udo {
  public:
   void Process(const data::RowView& row, UdoContext* ctx) override {
-    const Value text = row.NumValues() > 0 ? row.value(0) : Value();
-    if (!text.is_string()) return;
-    for (const std::string& word : SplitWhitespace(text.AsString())) {
-      ctx->Emit({Value(word), Value(int64_t{1})});
+    const auto text = row.NumValues() > 0 ? row.Text(0) : std::nullopt;
+    if (!text) return;
+    SplitWhitespace(*text, &words_);
+    for (const std::string_view word : words_) {
+      ctx->Emit({Value(std::string(word)), Value(int64_t{1})});
     }
   }
+
+ private:
+  std::vector<std::string_view> words_;  // scratch, reused across rows
 };
 
 // (user, text) -> (shard, score, polarity). The shard key (user % 128)
@@ -53,47 +61,56 @@ class TokenizeWordsUdo : public Udo {
 class SentimentScoreUdo : public Udo {
  public:
   void Process(const data::RowView& row, UdoContext* ctx) override {
-    const Value text = row.NumValues() > 1 ? row.value(1) : Value();
-    if (!text.is_string()) return;
+    const auto text = row.NumValues() > 1 ? row.Text(1) : std::nullopt;
+    if (!text) return;
     double score = 0.0;
-    for (const std::string& word : SplitWhitespace(text.AsString())) {
-      score += WordPolarity(word);
-    }
+    SplitWhitespace(*text, &words_);
+    for (const std::string_view word : words_) score += WordPolarity(word);
     const int64_t polarity = score > 0 ? 1 : (score < 0 ? -1 : 0);
     const double user = row.Numeric(0);
     const int64_t shard = user >= 0 ? static_cast<int64_t>(user) % 128 : 0;
     ctx->Emit({Value(shard), Value(score), Value(polarity)});
   }
+
+ private:
+  std::vector<std::string_view> words_;
 };
 
 // (logline) -> (status, bytes): "parses" the line deterministically.
 class LogParseUdo : public Udo {
  public:
   void Process(const data::RowView& row, UdoContext* ctx) override {
-    const Value line = row.NumValues() > 0 ? row.value(0) : Value();
-    if (!line.is_string()) return;
-    const auto tokens = SplitWhitespace(line.AsString());
-    if (tokens.empty()) return;
-    const uint64_t h = Value(tokens[0]).Hash();
+    const auto line = row.NumValues() > 0 ? row.Text(0) : std::nullopt;
+    if (!line) return;
+    SplitWhitespace(*line, &tokens_);
+    if (tokens_.empty()) return;
+    const uint64_t h = HashStringValue(tokens_[0]);
     static const int64_t kStatuses[] = {200, 200, 200, 200, 200, 200, 200,
                                         301, 404, 500};
     const int64_t status = kStatuses[h % 10];
     const double bytes = 200.0 + static_cast<double>(h % 4096);
     ctx->Emit({Value(status), Value(bytes)});
   }
+
+ private:
+  std::vector<std::string_view> tokens_;
 };
 
 // (text) -> (topic, 1) for "hashtag" words (deterministic 1-in-8 of vocab).
 class TopicExtractUdo : public Udo {
  public:
   void Process(const data::RowView& row, UdoContext* ctx) override {
-    const Value text = row.NumValues() > 0 ? row.value(0) : Value();
-    if (!text.is_string()) return;
-    for (const std::string& word : SplitWhitespace(text.AsString())) {
-      if (Value(word).Hash() % 8 != 0) continue;
-      ctx->Emit({Value(word), Value(int64_t{1})});
+    const auto text = row.NumValues() > 0 ? row.Text(0) : std::nullopt;
+    if (!text) return;
+    SplitWhitespace(*text, &words_);
+    for (const std::string_view word : words_) {
+      if (HashStringValue(word) % 8 != 0) continue;
+      ctx->Emit({Value(std::string(word)), Value(int64_t{1})});
     }
   }
+
+ private:
+  std::vector<std::string_view> words_;
 };
 
 // (topic, count) window results -> re-emitted only while the topic ranks in

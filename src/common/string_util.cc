@@ -6,6 +6,14 @@
 
 namespace pdsp {
 
+namespace {
+
+// std::isspace in the "C" locale, which the program never leaves, inline:
+// a tokenizer tests every character.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
 std::vector<std::string> Split(std::string_view s, char sep) {
   std::vector<std::string> out;
   size_t start = 0;
@@ -18,17 +26,16 @@ std::vector<std::string> Split(std::string_view s, char sep) {
   return out;
 }
 
-std::vector<std::string> SplitWhitespace(std::string_view s) {
-  std::vector<std::string> out;
+void SplitWhitespace(std::string_view s,
+                     std::vector<std::string_view>* tokens) {
+  tokens->clear();
   size_t i = 0;
   while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+    while (i < s.size() && IsSpace(s[i])) ++i;
     size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i])))
-      ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
+    while (i < s.size() && !IsSpace(s[i])) ++i;
+    if (i > start) tokens->push_back(s.substr(start, i - start));
   }
-  return out;
 }
 
 std::string Join(const std::vector<std::string>& parts,

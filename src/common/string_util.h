@@ -13,8 +13,9 @@ namespace pdsp {
 /// Splits on a single character; empty fields are kept.
 std::vector<std::string> Split(std::string_view s, char sep);
 
-/// Splits on runs of whitespace; empty tokens are dropped.
-std::vector<std::string> SplitWhitespace(std::string_view s);
+/// Splits on runs of whitespace into views of `s`, replacing the contents
+/// of *tokens (whose capacity is reused); empty tokens are dropped.
+void SplitWhitespace(std::string_view s, std::vector<std::string_view>* tokens);
 
 /// Joins with a separator.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);

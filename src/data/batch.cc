@@ -1,10 +1,64 @@
 #include "src/data/batch.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 namespace pdsp {
 namespace data {
+
+namespace {
+
+template <typename T>
+T Load(const char* p) {
+  T word;
+  std::memcpy(&word, p, sizeof(T));
+  return word;
+}
+
+uint64_t Mix(uint64_t h) {
+  h *= 0xbf58476d1ce4e5b9ULL;
+  return h ^ (h >> 31);
+}
+
+// Hash of a non-empty short string for the intern table, from fixed-size
+// loads only: whole 8-byte words and an overlapping last word, or two
+// overlapping 4-byte halves, or three bytes. Only where a string lands in
+// the table depends on it.
+uint32_t InternHash(std::string_view s) {
+  const char* p = s.data();
+  const size_t n = s.size();
+  uint64_t h = 0x9e3779b97f4a7c15ULL ^ n;
+  if (n >= 8) {
+    for (size_t i = 0; i + 8 < n; i += 8) h = Mix(h ^ Load<uint64_t>(p + i));
+    h = Mix(h ^ Load<uint64_t>(p + n - 8));
+  } else if (n >= 4) {
+    h = Mix(h ^ Load<uint32_t>(p) ^
+            (uint64_t{Load<uint32_t>(p + n - 4)} << 32));
+  } else {
+    const auto byte = [](char c) { return uint64_t{static_cast<uint8_t>(c)}; };
+    h = Mix(h ^ byte(p[0]) ^ (byte(p[n / 2]) << 8) ^ (byte(p[n - 1]) << 16));
+  }
+  return static_cast<uint32_t>((h * 0x94d049bb133111ebULL) >> 32);
+}
+
+// memcmp(a, b, n) == 0 for short strings, with the same loads as
+// InternHash instead of a library call.
+bool ShortEqual(const char* a, const char* b, size_t n) {
+  if (n >= 8) {
+    for (size_t i = 0; i + 8 < n; i += 8) {
+      if (Load<uint64_t>(a + i) != Load<uint64_t>(b + i)) return false;
+    }
+    return Load<uint64_t>(a + n - 8) == Load<uint64_t>(b + n - 8);
+  }
+  if (n >= 4) {
+    return Load<uint32_t>(a) == Load<uint32_t>(b) &&
+           Load<uint32_t>(a + n - 4) == Load<uint32_t>(b + n - 4);
+  }
+  return a[0] == b[0] && a[n / 2] == b[n / 2] && a[n - 1] == b[n - 1];
+}
+
+}  // namespace
 
 std::string_view StringArena::Add(std::string_view s) {
   if (s.empty()) return std::string_view();
@@ -30,6 +84,60 @@ std::string_view StringArena::Add(std::string_view s) {
   return std::string_view(dest, s.size());
 }
 
+std::string_view StringInternTable::Intern(std::string_view s,
+                                           StringArena* arena) {
+  const uint32_t hash = InternHash(s);
+  if (!slots_) Allocate(kMinSlots);
+  uint32_t i = hash & mask_;
+  for (; slots_[i].data != nullptr; i = (i + 1) & mask_) {
+    const Slot& slot = slots_[i];
+    if (slot.hash == hash && slot.size == s.size() &&
+        ShortEqual(slot.data, s.data(), s.size())) {
+      return std::string_view(slot.data, slot.size);
+    }
+  }
+  if ((size_ + 1) * 2 > mask_ + 1) {
+    Grow();
+    i = hash & mask_;
+    while (slots_[i].data != nullptr) i = (i + 1) & mask_;
+  }
+  const std::string_view stored = arena->Add(s);
+  slots_[i] = {stored.data(), static_cast<uint32_t>(s.size()), hash};
+  ++size_;
+  return stored;
+}
+
+void StringInternTable::Clear() {
+  if (size_ == 0) return;
+  // The smallest table that held this batch's strings at a load of one
+  // half; one over four times that size grew for an earlier batch.
+  uint32_t needed = kMinSlots;
+  while (needed < 2 * size_) needed *= 2;
+  if (mask_ + 1 > 4 * needed) {
+    Allocate(needed);
+  } else {
+    std::fill(slots_.get(), slots_.get() + mask_ + 1, Slot{nullptr, 0, 0});
+  }
+  size_ = 0;
+}
+
+void StringInternTable::Allocate(uint32_t slots) {
+  slots_ = std::make_unique<Slot[]>(slots);  // value-initialized: all free
+  mask_ = slots - 1;
+}
+
+void StringInternTable::Grow() {
+  std::unique_ptr<Slot[]> old = std::move(slots_);
+  const uint32_t old_slots = mask_ + 1;
+  Allocate(2 * old_slots);
+  for (uint32_t j = 0; j < old_slots; ++j) {
+    if (old[j].data == nullptr) continue;
+    uint32_t i = old[j].hash & mask_;
+    while (slots_[i].data != nullptr) i = (i + 1) & mask_;
+    slots_[i] = old[j];
+  }
+}
+
 Batch::Batch(BatchLayout layout) : layout_(std::move(layout)) {
   columns_.resize(layout_.NumColumns());
   for (size_t i = 0; i < columns_.size(); ++i) {
@@ -49,8 +157,7 @@ void Batch::Clear() {
   birth_.clear();
   attr_id_.clear();
   arena_.Clear();
-  if (intern_) intern_->clear();
-  promotions_ = 0;
+  intern_.Clear();
 }
 
 void Batch::Reserve(size_t rows) {
@@ -136,17 +243,13 @@ void Batch::FinishRow(double event_time, double birth, uint32_t attr_id) {
 }
 
 void Batch::AppendRange(const Batch& src, size_t begin, size_t end) {
-  assert(layout_ == src.layout_);
+  assert(NumColumns() == src.NumColumns());
   assert(begin <= end && end <= src.NumRows());
   for (size_t col = 0; col < columns_.size(); ++col) {
     const Column& s = src.columns_[col];
     Column& d = columns_[col];
-    if (s.promoted) {
-      for (size_t r = begin; r < end; ++r) AppendValue(col, s.mixed[r]);
-      continue;
-    }
-    if (d.promoted) {
-      for (size_t r = begin; r < end; ++r) AppendValue(col, src.ValueAt(r, col));
+    if (s.promoted || d.promoted || s.type != d.type) {
+      for (size_t r = begin; r < end; ++r) AppendCell(col, src, r, col);
       continue;
     }
     switch (d.type) {
@@ -175,12 +278,12 @@ void Batch::AppendRange(const Batch& src, size_t begin, size_t end) {
 }
 
 void Batch::AppendGather(const Batch& src, const SelectionVector& sel) {
-  assert(layout_ == src.layout_);
+  assert(NumColumns() == src.NumColumns());
   for (size_t col = 0; col < columns_.size(); ++col) {
     const Column& s = src.columns_[col];
     Column& d = columns_[col];
-    if (s.promoted || d.promoted) {
-      for (uint32_t r : sel) AppendValue(col, src.ValueAt(r, col));
+    if (s.promoted || d.promoted || s.type != d.type) {
+      for (uint32_t r : sel) AppendCell(col, src, r, col);
       continue;
     }
     switch (d.type) {
@@ -199,6 +302,26 @@ void Batch::AppendGather(const Batch& src, const SelectionVector& sel) {
     event_time_.push_back(src.event_time_[r]);
     birth_.push_back(src.birth_[r]);
     attr_id_.push_back(src.attr_id_[r]);
+  }
+}
+
+void Batch::AppendCell(size_t col, const Batch& src, size_t row,
+                       size_t src_col) {
+  const Column& s = src.columns_[src_col];
+  if (s.promoted) {
+    AppendValue(col, s.mixed[row]);
+    return;
+  }
+  switch (s.type) {
+    case DataType::kInt:
+      AppendInt(col, s.ints[row]);
+      return;
+    case DataType::kDouble:
+      AppendDouble(col, s.doubles[row]);
+      return;
+    case DataType::kString:
+      AppendString(col, s.strings[row]);
+      return;
   }
 }
 
@@ -248,6 +371,18 @@ double Batch::NumericAt(size_t row, size_t col) const {
   return 0.0;
 }
 
+std::optional<std::string_view> Batch::StringAt(size_t row,
+                                                size_t col) const {
+  const Column& c = columns_[col];
+  if (c.promoted) {
+    const Value& v = c.mixed[row];
+    if (!v.is_string()) return std::nullopt;
+    return std::string_view(v.AsString());
+  }
+  if (c.type != DataType::kString) return std::nullopt;
+  return c.strings[row];
+}
+
 Tuple Batch::RowTuple(size_t row) const {
   Tuple tuple;
   tuple.values.reserve(columns_.size());
@@ -256,6 +391,12 @@ Tuple Batch::RowTuple(size_t row) const {
   }
   tuple.event_time = event_time_[row];
   return tuple;
+}
+
+size_t Batch::promotions() const {
+  size_t promoted = 0;
+  for (const Column& c : columns_) promoted += c.promoted ? 1 : 0;
+  return promoted;
 }
 
 size_t Batch::WireSize(size_t begin, size_t end) const {
@@ -303,20 +444,12 @@ void Batch::Promote(size_t col) {
       break;
   }
   c.promoted = true;
-  ++promotions_;
 }
 
 std::string_view Batch::InternOrAdd(std::string_view v) {
   if (v.size() > kInternMaxBytes) return arena_.Add(v);
-  if (!intern_) {
-    intern_ = std::make_unique<
-        std::unordered_map<std::string_view, std::string_view>>();
-  }
-  auto it = intern_->find(v);
-  if (it != intern_->end()) return it->second;
-  std::string_view stored = arena_.Add(v);
-  intern_->emplace(stored, stored);
-  return stored;
+  if (v.empty()) return std::string_view();
+  return intern_.Intern(v, &arena_);
 }
 
 }  // namespace data

@@ -8,8 +8,9 @@
 // and the latency-attribution handle (see src/runtime/element.h).
 // Vectorized kernels (src/runtime/kernels.h) filter, hash, aggregate and
 // partition over columns directly. Operators that work row by row read
-// cells through RowView (UDOs) or materialize a row once with RowTuple
-// (join buffers), and append their outputs per column.
+// cells through RowView (UDOs) or keep whole rows in a Batch of their own
+// (join buffers, filled with AppendRange and copied out with AppendCell),
+// and append their outputs per column.
 //
 // Layout rules:
 //  - The column set and types come from a BatchLayout derived from the
@@ -19,8 +20,10 @@
 //    (`mixed`) so round-tripping is always exact — promotion is a
 //    correctness escape hatch, counted via promotions(), not a hot path.
 //  - Batches are move-only. Copying rows between batches goes through
-//    AppendRange/AppendGather (selection-vector gather), which re-copies
-//    string payloads into the destination arena.
+//    AppendRange/AppendGather (selection-vector gather) or AppendCell,
+//    which re-copy string payloads into the destination arena. A source
+//    column whose type differs from the destination's is appended value by
+//    value and promotes the destination, so the copies are total.
 //  - A SelectionVector is a list of row indices into a batch; kernels
 //    produce and consume them (filter survivors, per-destination
 //    partitions) so data is gathered once, at routing time.
@@ -31,9 +34,10 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/data/value.h"
@@ -101,6 +105,51 @@ class StringArena {
   size_t total_bytes_ = 0;
 };
 
+/// \brief A batch's intern table for short strings: open addressing over
+/// 16-byte slots (arena pointer, length, hash), probed linearly at a load of
+/// at most one half. Slots are allocated at the first string, 8 of them.
+class StringInternTable {
+ public:
+  StringInternTable() = default;
+  // Moves leave the source empty, so a moved-from batch stays usable.
+  StringInternTable(StringInternTable&& other) noexcept
+      : slots_(std::move(other.slots_)),
+        mask_(std::exchange(other.mask_, 0)),
+        size_(std::exchange(other.size_, 0)) {}
+  StringInternTable& operator=(StringInternTable&& other) noexcept {
+    slots_ = std::move(other.slots_);
+    mask_ = std::exchange(other.mask_, 0);
+    size_ = std::exchange(other.size_, 0);
+    return *this;
+  }
+
+  /// The arena copy equal to `s`, added to `arena` if there is none yet.
+  /// `s` is non-empty and short (Batch interns up to kInternMaxBytes).
+  std::string_view Intern(std::string_view s, StringArena* arena);
+
+  /// Forgets every string, in time proportional to the strings interned
+  /// since the last Clear: a table much larger than they needed (one grown
+  /// for an earlier large batch) is cut back instead of wiped in full.
+  void Clear();
+
+ private:
+  struct Slot {
+    const char* data;  // nullptr marks a free slot
+    uint32_t size;
+    uint32_t hash;
+  };
+  static constexpr uint32_t kMinSlots = 8;
+
+  // Reallocates the (empty) table with `slots` free slots.
+  void Allocate(uint32_t slots);
+  // Doubles the slots and re-places every string by its stored hash.
+  void Grow();
+
+  std::unique_ptr<Slot[]> slots_;
+  uint32_t mask_ = 0;  // slot count - 1, once allocated
+  uint32_t size_ = 0;  // strings interned since the last Clear
+};
+
 /// \brief One schema-specialized columnar micro-batch. See file comment.
 class Batch {
  public:
@@ -140,13 +189,18 @@ class Batch {
   void FinishRow(double event_time, double birth, uint32_t attr_id);
 
   // --- batch-to-batch copies ---------------------------------------------
+  // Exact for any pair of layouts with one column count (checked with
+  // assert): a column whose types disagree is copied value by value and
+  // promotes the destination, as AppendValue(col, src.ValueAt(row, col)).
 
-  /// Appends rows [begin, end) of `src`. Layout types must match
-  /// column-for-column (checked with assert).
+  /// Appends rows [begin, end) of `src`.
   void AppendRange(const Batch& src, size_t begin, size_t end);
   /// Appends the selected rows of `src` in selection order (indices may
   /// repeat: FlatMap replication).
   void AppendGather(const Batch& src, const SelectionVector& sel);
+  /// Appends cell (row, src_col) of `src` to column `col`: typed from the
+  /// source column's raw data, or through its Value when it is promoted.
+  void AppendCell(size_t col, const Batch& src, size_t row, size_t src_col);
 
   // --- column reads -------------------------------------------------------
 
@@ -165,6 +219,9 @@ class Batch {
   Value ValueAt(size_t row, size_t col) const;
   /// Value::AsNumeric semantics: ints/doubles as double, strings by length.
   double NumericAt(size_t row, size_t col) const;
+  /// The cell's string, read in place from a typed or a promoted column
+  /// (valid until the next append); nullopt when the cell is a number.
+  std::optional<std::string_view> StringAt(size_t row, size_t col) const;
 
   double event_time(size_t row) const { return event_time_[row]; }
   double birth(size_t row) const { return birth_[row]; }
@@ -182,12 +239,12 @@ class Batch {
   size_t WireSize(size_t begin, size_t end) const;
 
   /// Number of columns that fell back to dynamically typed storage.
-  size_t promotions() const { return promotions_; }
+  size_t promotions() const;
   /// Bytes currently held by the string arena.
   size_t ArenaBytes() const { return arena_.TotalBytes(); }
 
   /// Strings longer than this are not interned (unique payloads like
-  /// sentences would only bloat the intern map).
+  /// sentences would only bloat the intern table).
   static constexpr size_t kInternMaxBytes = 32;
 
  private:
@@ -225,10 +282,7 @@ class Batch {
   std::vector<double> birth_;
   std::vector<uint32_t> attr_id_;
   StringArena arena_;
-  // Lazily created on the first interned string append.
-  std::unique_ptr<std::unordered_map<std::string_view, std::string_view>>
-      intern_;
-  size_t promotions_ = 0;
+  StringInternTable intern_;
 };
 
 /// \brief Cheap view of one batch row: what a UDO reads its input through
@@ -241,6 +295,10 @@ class RowView {
   size_t NumValues() const { return batch_->NumColumns(); }
   Value value(size_t col) const { return batch_->ValueAt(row_, col); }
   double Numeric(size_t col) const { return batch_->NumericAt(row_, col); }
+  /// The cell's string in place (Batch::StringAt): no copy, no Value.
+  std::optional<std::string_view> Text(size_t col) const {
+    return batch_->StringAt(row_, col);
+  }
   double event_time() const { return batch_->event_time(row_); }
   double birth() const { return batch_->birth(row_); }
   uint32_t attr_id() const { return batch_->attr_id(row_); }

@@ -1,5 +1,5 @@
 // Flat keyed operator state: the per-key tables behind time-window panes,
-// count-window buffers and window-join side buffers (operators.cc).
+// count-window buffers and window-join row chains (operators.cc).
 //
 // KeyedTable<V> maps a key Value to a per-key state V with open addressing:
 // a power-of-two array of (hash, entry index) slots probed linearly, and the
@@ -148,6 +148,12 @@ class KeyedTable {
 
   /// Every (first key, state) pair, in no particular order.
   const std::vector<Entry>& entries() const { return entries_; }
+
+  /// Calls fn(V&) on every state, in entries() order; keys stay as they are.
+  template <typename Fn>
+  void ForEachValue(Fn&& fn) {
+    for (Entry& entry : entries_) fn(entry.second);
+  }
 
  private:
   struct Slot {

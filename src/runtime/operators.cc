@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <queue>
@@ -341,6 +342,12 @@ class CountWindowAggExec : public OperatorInstance {
 // `duration` seconds of rows (by event time); every arrival probes the
 // opposite side. Count policy: per-side per-key buffers of the last
 // length_tuples rows.
+//
+// Each side keeps its buffered rows in one Batch, appended once per input
+// batch, and each key a chain of row indices through it, oldest first.
+// Eviction pops chain heads and leaves the row behind, dead; once dead rows
+// outnumber live ones (past a small floor) the live rows are gathered into
+// a fresh batch, chain by chain, so compaction is amortized O(1) per row.
 class WindowJoinExec : public OperatorInstance {
  public:
   explicit WindowJoinExec(const OperatorDescriptor& op)
@@ -356,94 +363,153 @@ class WindowJoinExec : public OperatorInstance {
     if (key_field >= in.NumColumns()) {
       return Status::OutOfRange("join key beyond tuple arity");
     }
+    if (row_begin == row_end) return Status::OK();
     Side& mine = sides_[input_port];
     Side& other = sides_[1 - input_port];
-    for (size_t row = row_begin; row < row_end; ++row) {
+    if (mine.live == 0 && !(mine.rows.layout() == in.layout())) {
+      mine.rows = data::Batch(in.layout());
+      mine.next.clear();
+    } else if (mine.rows.NumColumns() != in.NumColumns()) {
+      return Status::Internal(StrFormat(
+          "join port %d received arity %zu after arity %zu", input_port,
+          in.NumColumns(), mine.rows.NumColumns()));
+    }
+    auto index = static_cast<uint32_t>(mine.rows.NumRows());
+    mine.rows.AppendRange(in, row_begin, row_end);
+    mine.next.resize(mine.rows.NumRows(), kNone);
+    const bool time_policy = op_.window.policy == WindowPolicy::kTime;
+    const auto cap = static_cast<size_t>(
+        std::max<int64_t>(1, op_.window.length_tuples));
+    for (size_t row = row_begin; row < row_end; ++row, ++index) {
       const Value key = in.ValueAt(row, key_field);
       const double t = in.event_time(row);
-      // Materialized once: the row probes the other side, then is buffered.
-      Entry e{in.RowTuple(row), in.birth(row), in.attr_id(row)};
 
-      // Evict expired entries from the probed key bucket (time policy).
-      if (std::vector<Entry>* probed = other.buffers.Find(key)) {
-        std::vector<Entry>& buf = *probed;
-        if (op_.window.policy == WindowPolicy::kTime) {
-          size_t expired = 0;
-          while (expired < buf.size() &&
-                 buf[expired].tuple.event_time < t - duration_) {
-            ++expired;
-          }
-          if (expired > 0) {
-            buf.erase(buf.begin(),
-                      buf.begin() + static_cast<int64_t>(expired));
-            other.total -= expired;
+      // Evict expired rows from the probed key's chain (time policy), then
+      // join the arrival with every row left in it.
+      if (Chain* probed = other.chains.Find(key)) {
+        if (time_policy) other.EvictBefore(t - duration_, probed);
+        if (probed->size > 0) {
+          const size_t arity = in.NumColumns() + other.rows.NumColumns();
+          if (arity != out->NumColumns()) return ArityMismatch(arity, *out);
+          const double birth = in.birth(row);
+          const uint32_t attr_id = in.attr_id(row);
+          for (uint32_t m = probed->head; m != kNone; m = other.next[m]) {
+            if (input_port == 0) {
+              AppendCells(in, row, 0, out);
+              AppendCells(other.rows, m, in.NumColumns(), out);
+            } else {
+              AppendCells(other.rows, m, 0, out);
+              AppendCells(in, row, other.rows.NumColumns(), out);
+            }
+            // Attribution follows the earliest contributor (the side
+            // latency is measured against); the buffered partner's
+            // residency in the join window is charged by the simulator
+            // when it sees the stale cursor.
+            const double match_birth = other.rows.birth(m);
+            out->FinishRow(std::max(t, other.rows.event_time(m)),
+                           std::min(birth, match_birth),
+                           birth <= match_birth ? attr_id
+                                                : other.rows.attr_id(m));
           }
         }
-        for (const Entry& match : buf) {
-          const std::vector<Value>& left =
-              (input_port == 0 ? e : match).tuple.values;
-          const std::vector<Value>& right =
-              (input_port == 0 ? match : e).tuple.values;
-          if (left.size() + right.size() != out->NumColumns()) {
-            return ArityMismatch(left.size() + right.size(), *out);
-          }
-          size_t col = 0;
-          for (const Value& v : left) out->AppendValue(col++, v);
-          for (const Value& v : right) out->AppendValue(col++, v);
-          // Attribution follows the earliest contributor (the side latency
-          // is measured against); the buffered partner's residency in the
-          // join window is charged by the simulator when it sees the stale
-          // cursor.
-          out->FinishRow(std::max(t, match.tuple.event_time),
-                         std::min(e.birth, match.birth),
-                         e.birth <= match.birth ? e.attr_id : match.attr_id);
-        }
-        if (buf.empty()) other.buffers.Erase(key);
+        if (probed->size == 0) other.chains.Erase(key);
       }
 
-      // Insert into own buffer and evict.
-      std::vector<Entry>& own = mine.buffers.FindOrInsert(key);
-      own.push_back(std::move(e));
-      ++mine.total;
-      if (op_.window.policy == WindowPolicy::kTime) {
-        size_t expired = 0;
-        while (expired < own.size() &&
-               own[expired].tuple.event_time < t - duration_) {
-          ++expired;
-        }
-        if (expired > 0) {
-          own.erase(own.begin(), own.begin() + static_cast<int64_t>(expired));
-          mine.total -= expired;
-        }
+      // Buffer the arrival and evict from its own key's chain.
+      Chain& own = mine.chains.FindOrInsert(key);
+      mine.Link(index, &own);
+      if (time_policy) {
+        mine.EvictBefore(t - duration_, &own);
       } else {
-        const auto cap = static_cast<size_t>(
-            std::max<int64_t>(1, op_.window.length_tuples));
-        while (own.size() > cap) {
-          --mine.total;
-          own.erase(own.begin());
-        }
+        while (own.size > cap) mine.PopHead(&own);
       }
     }
+    mine.MaybeCompact();
+    other.MaybeCompact();
     return Status::OK();
   }
 
   size_t StateSize() const override {
-    return sides_[0].total + sides_[1].total;
+    return sides_[0].live + sides_[1].live;
   }
 
  private:
-  struct Entry {
-    Tuple tuple;
-    double birth;
-    uint32_t attr_id;
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  // Dead rows a side tolerates before compaction, however few are live.
+  static constexpr size_t kCompactFloor = 64;
+
+  // One key's buffered rows, oldest first, linked through Side::next.
+  struct Chain {
+    uint32_t head = kNone;
+    uint32_t tail = kNone;
+    uint32_t size = 0;
   };
+
   struct Side {
-    // Per-key buckets hold only a handful of in-window rows each, so a
-    // small vector beats a deque (whose minimum allocation is ~512B — with
-    // ID-like join keys that caused hundreds of MB of allocator churn).
-    KeyedTable<std::vector<Entry>> buffers;
-    size_t total = 0;
+    data::Batch rows;            // every buffered row, live or dead
+    std::vector<uint32_t> next;  // next[i]: the row after i in its chain
+    KeyedTable<Chain> chains;
+    size_t live = 0;             // rows reachable from a chain
+
+    void Link(uint32_t index, Chain* chain) {
+      if (chain->size == 0) {
+        chain->head = index;
+      } else {
+        next[chain->tail] = index;
+      }
+      chain->tail = index;
+      ++chain->size;
+      ++live;
+    }
+
+    void PopHead(Chain* chain) {
+      chain->head = next[chain->head];
+      if (--chain->size == 0) chain->tail = kNone;
+      --live;
+    }
+
+    // Pops the chain's prefix of rows with event time before `limit`.
+    void EvictBefore(double limit, Chain* chain) {
+      while (chain->size > 0 && rows.event_time(chain->head) < limit) {
+        PopHead(chain);
+      }
+    }
+
+    // Gathers the live rows into a fresh batch, each chain contiguous and
+    // in order, once dead rows outnumber live ones past kCompactFloor.
+    void MaybeCompact() {
+      const size_t dead = rows.NumRows() - live;
+      if (dead <= std::max(live, kCompactFloor)) return;
+      data::SelectionVector sel;
+      std::vector<uint32_t> renumbered;
+      sel.reserve(live);
+      renumbered.reserve(live);
+      chains.ForEachValue([&](Chain& chain) {
+        if (chain.size == 0) return;
+        const auto head = static_cast<uint32_t>(sel.size());
+        for (uint32_t m = chain.head; m != kNone; m = next[m]) {
+          sel.push_back(m);
+          renumbered.push_back(static_cast<uint32_t>(sel.size()));
+        }
+        renumbered.back() = kNone;
+        chain.head = head;
+        chain.tail = static_cast<uint32_t>(sel.size() - 1);
+      });
+      data::Batch fresh(rows.layout());
+      fresh.Reserve(sel.size());
+      fresh.AppendGather(rows, sel);
+      rows = std::move(fresh);
+      next = std::move(renumbered);
+    }
   };
+
+  // Appends every cell of row `row` of `src` to out's columns from `first`.
+  static void AppendCells(const data::Batch& src, size_t row, size_t first,
+                          data::Batch* out) {
+    for (size_t col = 0; col < src.NumColumns(); ++col) {
+      out->AppendCell(first + col, src, row, col);
+    }
+  }
 
   OperatorDescriptor op_;
   double duration_;

@@ -1,10 +1,13 @@
 // Behavioural tests for the application UDOs not covered in apps_test.cc:
 // smart-grid outliers, machine-outlier z-scores, bargain index, topic
-// extraction and ranking, log parsing, and the AD CTR aggregation.
+// extraction and ranking, log parsing, the AD CTR aggregation, and the text
+// UDOs' reads of promoted text columns.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/apps/apps.h"
 #include "src/runtime/operators.h"
@@ -159,6 +162,75 @@ TEST(AdCtrUdoTest, EmitsCampaignWeights) {
   EXPECT_EQ(out[0].tuple.values[0].AsInt(), 4);  // campaign
   EXPECT_GT(out[0].tuple.values[1].AsDouble(), 0.0);
   EXPECT_LE(out[0].tuple.values[1].AsDouble(), 1.0);
+}
+
+// The four text UDOs read their text cell in place from a typed string
+// column and from a promoted one (a column whose rows mix strings and
+// numbers) alike: the same input rows yield the same output rows, and a
+// number where the text belongs yields none.
+TEST(TextUdoTest, PromotedTextColumnEmitsWhatTypedOneDoes) {
+  struct Case {
+    AppId app;
+    const char* op;
+    size_t text_col;
+  };
+  const Case cases[] = {{AppId::kWordCount, "tokenize", 0},
+                        {AppId::kSentimentAnalysis, "sentiment", 1},
+                        {AppId::kLogProcessing, "parse", 0},
+                        {AppId::kTrendingTopics, "extract", 0}};
+  std::vector<std::string> texts;
+  for (int i = 0; i < 12; ++i) {
+    std::string text = " ";
+    for (int w = 0; w < 3 * i + 1; ++w) {
+      text.append(DictionaryWord(17 * i + w)).append(w % 2 ? "  " : "\t");
+    }
+    texts.push_back(std::move(text));
+  }
+  texts.push_back("");
+  texts.push_back(std::string(100, 'z'));
+  for (const Case& c : cases) {
+    const size_t width = c.text_col + 1;
+    std::vector<DataType> types(width, DataType::kInt);
+    types[c.text_col] = DataType::kString;
+    data::Batch typed{data::BatchLayout(types)};
+    // The promoted batch declares the text column an int, so its first
+    // string promotes it; one extra row holds a number there.
+    types[c.text_col] = DataType::kInt;
+    data::Batch promoted{data::BatchLayout(types)};
+    for (size_t r = 0; r < texts.size(); ++r) {
+      for (data::Batch* b : {&typed, &promoted}) {
+        if (c.text_col == 1) b->AppendInt(0, static_cast<int64_t>(r));
+        b->AppendString(c.text_col, texts[r]);
+        b->FinishRow(0.1 * static_cast<double>(r), 0.05,
+                     static_cast<uint32_t>(r));
+      }
+    }
+    if (c.text_col == 1) promoted.AppendInt(0, 99);
+    promoted.AppendInt(c.text_col, 42);
+    promoted.FinishRow(9.0, 9.0, 99);
+    ASSERT_TRUE(promoted.column_promoted(c.text_col)) << c.op;
+    ASSERT_FALSE(typed.column_promoted(c.text_col)) << c.op;
+
+    auto from_typed = Instance(c.app, c.op);
+    auto from_promoted = Instance(c.app, c.op);
+    ASSERT_TRUE(from_typed.Push(typed, 0, 1.0).ok()) << c.op;
+    ASSERT_TRUE(from_promoted.Push(promoted, 0, 1.0).ok()) << c.op;
+    const std::vector<testing::Row>& want = from_typed.out();
+    const std::vector<testing::Row>& got = from_promoted.out();
+    EXPECT_FALSE(want.empty()) << c.op;
+    ASSERT_EQ(got.size(), want.size()) << c.op;
+    for (size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(got[r].tuple.values, want[r].tuple.values)
+          << c.op << " row " << r;
+      for (size_t col = 0; col < want[r].tuple.values.size(); ++col) {
+        EXPECT_EQ(got[r].tuple.values[col].type(),
+                  want[r].tuple.values[col].type());
+      }
+      EXPECT_EQ(got[r].tuple.event_time, want[r].tuple.event_time);
+      EXPECT_EQ(got[r].birth, want[r].birth);
+      EXPECT_EQ(got[r].attr_id, want[r].attr_id);
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 namespace pdsp {
 namespace {
 
@@ -20,14 +24,44 @@ TEST(SplitTest, EmptyStringYieldsOneEmptyField) {
 }
 
 TEST(SplitWhitespaceTest, DropsEmptyTokens) {
-  auto parts = SplitWhitespace("  hello\t world \n");
+  std::vector<std::string_view> parts;
+  SplitWhitespace("  hello\t world \n", &parts);
   ASSERT_EQ(parts.size(), 2u);
   EXPECT_EQ(parts[0], "hello");
   EXPECT_EQ(parts[1], "world");
 }
 
 TEST(SplitWhitespaceTest, EmptyInput) {
-  EXPECT_TRUE(SplitWhitespace("   ").empty());
+  std::vector<std::string_view> parts;
+  SplitWhitespace("   ", &parts);
+  EXPECT_TRUE(parts.empty());
+}
+
+// The tokens are views into the input, and a reused vector holds only the
+// latest split: shorter, empty or longer than the one before.
+TEST(SplitWhitespaceTest, ReusesTheScratchVector) {
+  const std::string text = "alpha beta gamma delta";
+  std::vector<std::string_view> parts;
+  SplitWhitespace(text, &parts);
+  ASSERT_EQ(parts.size(), 4u);
+  EXPECT_EQ(parts[3], "delta");
+  EXPECT_EQ(parts[0].data(), text.data());
+  EXPECT_EQ(parts[2].data(), text.data() + 11);
+  const size_t capacity = parts.capacity();
+  SplitWhitespace(" x  y ", &parts);
+  ASSERT_EQ(parts.size(), 2u);
+  EXPECT_EQ(parts[0], "x");
+  EXPECT_EQ(parts[1], "y");
+  EXPECT_EQ(parts.capacity(), capacity);
+  SplitWhitespace("", &parts);
+  EXPECT_TRUE(parts.empty());
+  SplitWhitespace("a b c d e f", &parts);
+  ASSERT_EQ(parts.size(), 6u);
+  EXPECT_EQ(parts[5], "f");
+  // Every ASCII whitespace character separates; other bytes do not.
+  SplitWhitespace("a\vb\fc\rd\xa0" "e", &parts);
+  ASSERT_EQ(parts.size(), 4u);
+  EXPECT_EQ(parts[3], "d\xa0" "e");
 }
 
 TEST(JoinTest, RoundTripsWithSplit) {

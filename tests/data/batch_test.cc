@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -75,6 +77,218 @@ TEST(BatchTest, ShortStringsInternLongStringsDoNot) {
   b.FinishRow(0.0, 0.0, kNoAttr);
   // Long payloads are appended as-is, once per row.
   EXPECT_EQ(b.ArenaBytes(), interned_bytes + 2 * long_payload.size());
+}
+
+// Equal short strings share one arena copy however they interleave: the
+// arena grows at a string's first append only.
+TEST(BatchTest, EqualShortStringsShareOneArenaCopy) {
+  data::Batch b(data::BatchLayout({DataType::kString}));
+  size_t distinct_bytes = 0;
+  for (int i = 0; i < 50; ++i) distinct_bytes += DictionaryWord(i).size();
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 50; ++i) {
+      b.AppendString(0, DictionaryWord(i));
+      b.FinishRow(0.0, 0.0, kNoAttr);
+    }
+    EXPECT_EQ(b.ArenaBytes(), distinct_bytes) << "round " << round;
+  }
+  const std::string_view* d = b.StringData(0);
+  for (size_t r = 0; r < b.NumRows(); ++r) {
+    ASSERT_EQ(d[r], DictionaryWord(static_cast<int64_t>(r % 50)));
+    EXPECT_EQ(d[r].data(), d[r % 50].data()) << "row " << r;
+  }
+}
+
+// Empty strings and strings at, just over and far over kInternMaxBytes
+// round-trip; only the interned ones share storage.
+TEST(BatchTest, EmptyAndLongStringsRoundTrip) {
+  data::Batch b(data::BatchLayout({DataType::kString}));
+  const size_t max = data::Batch::kInternMaxBytes;
+  const std::vector<std::string> strings = {
+      "", std::string(max, 'a'), std::string(max + 1, 'b'),
+      std::string(10 * max, 'c'), "", std::string(max, 'a'),
+      std::string(max + 1, 'b')};
+  for (const std::string& s : strings) {
+    b.AppendString(0, s);
+    b.FinishRow(0.0, 0.0, kNoAttr);
+  }
+  for (size_t r = 0; r < strings.size(); ++r) {
+    EXPECT_EQ(b.ValueAt(r, 0), Value(strings[r])) << "row " << r;
+    EXPECT_EQ(b.StringData(0)[r], strings[r]) << "row " << r;
+  }
+  // One copy of the interned 32-byte string, two of the 33-byte one.
+  EXPECT_EQ(b.ArenaBytes(), max + 2 * (max + 1) + 10 * max);
+  EXPECT_EQ(b.StringData(0)[1].data(), b.StringData(0)[5].data());
+  EXPECT_NE(b.StringData(0)[2].data(), b.StringData(0)[6].data());
+}
+
+// One batch reused through Clear, as the engine reuses its output batches:
+// small firings after four table growths, then after one 10^5-string
+// batch, still intern every string exactly once.
+TEST(BatchTest, ReusedBatchInternsAcrossGrowthsAndAfterALargeBatch) {
+  data::Batch b(data::BatchLayout({DataType::kString, DataType::kInt}));
+  auto fill = [&b](int64_t distinct, int64_t rows, int64_t offset) {
+    b.Clear();
+    size_t bytes = 0;
+    for (int64_t i = 0; i < distinct; ++i) {
+      bytes += DictionaryWord(offset + i).size();
+    }
+    for (int64_t r = 0; r < rows; ++r) {
+      b.AppendString(0, DictionaryWord(offset + r % distinct));
+      b.AppendInt(1, r);
+      b.FinishRow(0.0, 0.0, kNoAttr);
+    }
+    ASSERT_EQ(b.ArenaBytes(), bytes) << distinct << " distinct strings";
+    const std::string_view* d = b.StringData(0);
+    for (int64_t r = 0; r < rows; ++r) {
+      ASSERT_EQ(d[r], DictionaryWord(offset + r % distinct)) << "row " << r;
+      ASSERT_EQ(d[r].data(), d[r % distinct].data()) << "row " << r;
+    }
+  };
+  // 8 slots hold 4 strings; 70 distinct need 256: four growths.
+  for (const int64_t distinct : {1, 4, 5, 9, 17, 33, 70}) {
+    fill(distinct, 3 * distinct, distinct);
+  }
+  fill(100000, 100000, 0);
+  fill(100000, 100000, 7);
+  for (int round = 0; round < 4; ++round) fill(64, 64, round);
+  fill(3, 9, 0);
+  fill(0, 0, 0);
+  fill(200, 400, 11);
+}
+
+// A batch moved from is empty and can be cleared; the batch moved to keeps
+// interning into the table it took over.
+TEST(BatchTest, MovesHandOverTheInternTable) {
+  data::Batch a(data::BatchLayout({DataType::kString}));
+  for (int64_t i = 0; i < 100; ++i) {
+    a.AppendString(0, DictionaryWord(i));
+    a.FinishRow(0.0, 0.0, kNoAttr);
+  }
+  data::Batch b = std::move(a);
+  a.Clear();
+  EXPECT_EQ(a.NumRows(), 0u);
+  b.AppendString(0, DictionaryWord(7));
+  b.FinishRow(0.0, 0.0, kNoAttr);
+  EXPECT_EQ(b.StringData(0)[100].data(), b.StringData(0)[7].data());
+  a = std::move(b);
+  b.Clear();
+  a.Clear();
+  for (int64_t i = 0; i < 200; ++i) {
+    a.AppendString(0, DictionaryWord(i % 20));
+    a.FinishRow(0.0, 0.0, kNoAttr);
+  }
+  EXPECT_EQ(a.StringData(0)[199].data(), a.StringData(0)[19].data());
+  EXPECT_EQ(a.StringData(0)[199], DictionaryWord(19));
+}
+
+TEST(BatchTest, StringAtReadsTypedAndPromotedCellsInPlace) {
+  data::Batch b(data::BatchLayout(
+      {DataType::kString, DataType::kInt, DataType::kDouble}));
+  b.AppendTuple(MakeTuple({Value("alpha"), Value(1), Value(0.5)}, 0.0), 0.0,
+                kNoAttr);
+  b.AppendTuple(MakeTuple({Value(""), Value(2), Value(1.5)}, 0.0), 0.0,
+                kNoAttr);
+  // Typed string cells come back in place; numeric cells are nullopt.
+  EXPECT_EQ(b.StringAt(0, 0), std::optional<std::string_view>("alpha"));
+  EXPECT_EQ(b.StringAt(0, 0)->data(), b.StringData(0)[0].data());
+  EXPECT_EQ(b.StringAt(1, 0), std::optional<std::string_view>(""));
+  EXPECT_EQ(b.StringAt(0, 1), std::nullopt);
+  EXPECT_EQ(b.StringAt(1, 2), std::nullopt);
+  // A string in the int column promotes it: its string cell reads as the
+  // string, its numbers still as nullopt.
+  b.AppendTuple(MakeTuple({Value("gamma"), Value("beta"), Value(2.5)}, 0.0),
+                0.0, kNoAttr);
+  ASSERT_TRUE(b.column_promoted(1));
+  EXPECT_EQ(b.StringAt(2, 1), std::optional<std::string_view>("beta"));
+  EXPECT_EQ(b.StringAt(0, 1), std::nullopt);
+  EXPECT_EQ(b.StringAt(2, 0), std::optional<std::string_view>("gamma"));
+  // A number in the string column promotes it the other way.
+  b.AppendTuple(MakeTuple({Value(7), Value(3), Value(3.5)}, 0.0), 0.0,
+                kNoAttr);
+  ASSERT_TRUE(b.column_promoted(0));
+  EXPECT_EQ(b.StringAt(0, 0), std::optional<std::string_view>("alpha"));
+  EXPECT_EQ(b.StringAt(3, 0), std::nullopt);
+  const data::RowView view(b, 2);
+  EXPECT_EQ(view.Text(1), std::optional<std::string_view>("beta"));
+  EXPECT_EQ(view.Text(2), std::nullopt);
+}
+
+// Copies between batches whose column types disagree append value by
+// value: exact, and promoting the destination only where a value does not
+// fit its column.
+TEST(BatchTest, AppendRangeAndGatherAreTotalAcrossLayouts) {
+  // int -> double: the ints stay ints, in a promoted destination column.
+  data::Batch ints(data::BatchLayout({DataType::kInt, DataType::kString}));
+  ints.AppendTuple(MakeTuple({Value(3), Value("x")}, 1.0), 0.5, 7);
+  ints.AppendTuple(MakeTuple({Value(-4), Value("y")}, 2.0), 1.5, 8);
+  const data::BatchLayout double_string({DataType::kDouble, DataType::kString});
+  data::Batch range(double_string);
+  range.AppendRange(ints, 0, 2);
+  data::Batch gather(double_string);
+  gather.AppendGather(ints, {1, 0, 1});
+  for (const data::Batch* b : {&range, &gather}) {
+    EXPECT_TRUE(b->column_promoted(0));
+    EXPECT_FALSE(b->column_promoted(1));
+    EXPECT_EQ(b->ValueAt(0, 0).type(), DataType::kInt);
+  }
+  EXPECT_EQ(range.ValueAt(1, 0), Value(-4));
+  EXPECT_EQ(range.ValueAt(1, 1), Value("y"));
+  EXPECT_DOUBLE_EQ(range.event_time(1), 2.0);
+  EXPECT_DOUBLE_EQ(range.birth(1), 1.5);
+  EXPECT_EQ(range.attr_id(1), 8u);
+  ASSERT_EQ(gather.NumRows(), 3u);
+  EXPECT_EQ(gather.ValueAt(0, 0), Value(-4));
+  EXPECT_EQ(gather.ValueAt(1, 0), Value(3));
+  EXPECT_EQ(gather.attr_id(2), 8u);
+
+  // typed -> promoted: an already promoted destination takes typed rows.
+  data::Batch promoted(data::BatchLayout({DataType::kInt, DataType::kString}));
+  promoted.AppendTuple(MakeTuple({Value("s"), Value("z")}, 0.0), 0.0, 1);
+  ASSERT_TRUE(promoted.column_promoted(0));
+  promoted.AppendRange(ints, 1, 2);
+  promoted.AppendGather(ints, {0});
+  EXPECT_EQ(promoted.ValueAt(0, 0), Value("s"));
+  EXPECT_EQ(promoted.ValueAt(1, 0), Value(-4));
+  EXPECT_EQ(promoted.ValueAt(2, 0), Value(3));
+  EXPECT_EQ(promoted.ValueAt(2, 1), Value("x"));
+  EXPECT_FALSE(promoted.column_promoted(1));
+
+  // promoted -> typed: values that fit the destination's type stay typed,
+  // the first that does not promotes it.
+  data::Batch mixed(data::BatchLayout({DataType::kInt, DataType::kString}));
+  mixed.AppendTuple(MakeTuple({Value(1), Value("p")}, 0.0), 0.0, 1);
+  mixed.AppendTuple(MakeTuple({Value(2.5), Value("q")}, 0.0), 0.0, 2);
+  mixed.AppendTuple(MakeTuple({Value(3), Value("r")}, 0.0), 0.0, 3);
+  ASSERT_TRUE(mixed.column_promoted(0));
+  data::Batch doubles(double_string);
+  doubles.AppendRange(mixed, 1, 2);
+  EXPECT_FALSE(doubles.column_promoted(0));
+  EXPECT_DOUBLE_EQ(doubles.DoubleData(0)[0], 2.5);
+  doubles.AppendGather(mixed, {2, 1});
+  EXPECT_TRUE(doubles.column_promoted(0));
+  EXPECT_EQ(doubles.ValueAt(1, 0), Value(3));
+  EXPECT_EQ(doubles.ValueAt(1, 0).type(), DataType::kInt);
+  EXPECT_EQ(doubles.ValueAt(2, 0), Value(2.5));
+  EXPECT_EQ(doubles.ValueAt(2, 1), Value("q"));
+  data::Batch same(mixed.layout());
+  same.AppendRange(mixed, 0, 3);
+  for (size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(same.RowTuple(r).values, mixed.RowTuple(r).values);
+  }
+
+  // A string where the destination holds numbers, and AppendCell alone.
+  data::Batch numbers(data::BatchLayout({DataType::kInt, DataType::kInt}));
+  numbers.AppendRange(ints, 0, 1);
+  EXPECT_FALSE(numbers.column_promoted(0));
+  EXPECT_TRUE(numbers.column_promoted(1));
+  EXPECT_EQ(numbers.ValueAt(0, 1), Value("x"));
+  data::Batch cells(double_string);
+  cells.AppendCell(1, ints, 1, 1);
+  cells.AppendCell(0, mixed, 1, 0);
+  cells.FinishRow(0.0, 0.0, kNoAttr);
+  EXPECT_EQ(cells.promotions(), 0u);
+  EXPECT_EQ(cells.RowTuple(0).values, (std::vector<Value>{2.5, "y"}));
 }
 
 TEST(BatchTest, AppendGatherSelectsRepeatsAndHandlesEdgeCases) {

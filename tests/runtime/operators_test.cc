@@ -453,6 +453,19 @@ TEST(WindowJoinTest, PromotedStringKeysNeverMatchNumbers) {
   EXPECT_EQ(out[1].tuple.values[0].AsString(), "abc");
 }
 
+// A port's buffered rows share one column count: a batch of another arity
+// on a port that still buffers rows fails the firing.
+TEST(WindowJoinTest, ArityChangeOnAPortIsAnError) {
+  WindowSpec win;
+  win.duration_ms = 1000.0;
+  auto inst = MakeJoinInstance(win);
+  ASSERT_TRUE(inst.Push(MakeRow({Value(7), Value(1.0)}, 0.1), 0, 0.1).ok());
+  const Status status =
+      inst.Push(MakeRow({Value(7), Value(1.0), Value(2.0)}, 0.2), 0, 0.2);
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_EQ(inst.op()->StateSize(), 1u);
+}
+
 TEST(WindowJoinTest, BadPortRejected) {
   WindowSpec win;
   auto inst = MakeJoinInstance(win);

@@ -15,7 +15,8 @@
 #   PDSP_SKIP_TSAN  set to 1 to skip the ThreadSanitizer pass over the
 #                   concurrency-sensitive suites (exec/sim/obs/harness).
 #   PDSP_SKIP_UBSAN set to 1 to skip the UndefinedBehaviorSanitizer pass
-#                   over the analysis/sim/exec/property/runtime suites.
+#                   over the analysis/sim/exec/property/runtime/data/apps
+#                   suites.
 #   JOBS            parallel build jobs (default: nproc).
 
 set -eu
@@ -53,9 +54,9 @@ done
 step "Debug build (asserts on) and the runtime/data/apps/sim suites"
 # Only a Debug tree compiles the data plane's asserts: Batch::FinishRow
 # checks every column reached the new row count, AppendRange/AppendGather
-# check source and destination layouts match. Operators, fired windows and
-# UDO emits append output column by column, so a short column or a layout
-# mix-up fails here instead of silently shifting cells.
+# check source and destination have one column count. Operators, fired
+# windows and UDO emits append output column by column, so a short column
+# or a column-count mix-up fails here instead of silently shifting cells.
 DEBUG_DIR="${BUILD_DIR}-debug"
 cmake -B "$DEBUG_DIR" -S . -DCMAKE_BUILD_TYPE=Debug
 cmake --build "$DEBUG_DIR" -j "$JOBS" \
@@ -85,19 +86,22 @@ if [ "${PDSP_SKIP_TSAN:-0}" != "1" ]; then
 fi
 
 if [ "${PDSP_SKIP_UBSAN:-0}" != "1" ]; then
-  step "UndefinedBehaviorSanitizer pass (analysis/sim/exec/property/runtime suites)"
+  step "UndefinedBehaviorSanitizer pass (analysis/sim/exec/property/runtime/data/apps suites)"
   # The dataflow analyses lean on floating-point interval arithmetic
   # (widening multiplications, infinity-valued fallbacks, rate/capacity
-  # divisions), the simulator on integer event accounting and the keyed
-  # operator state on slot mask and index arithmetic — exactly the code
-  # UBSan's float-cast/overflow/shift checks exercise. Same separate-tree
-  # rationale as the TSan block above.
+  # divisions), the simulator on integer event accounting, the keyed
+  # operator state and the join's row chains on slot mask and index
+  # arithmetic, and the batch intern table on 32-bit hash, length and
+  # mask arithmetic — exactly the code UBSan's float-cast/overflow/shift
+  # checks exercise. Same separate-tree rationale as the TSan block above.
   UBSAN_DIR="${BUILD_DIR}-ubsan"
   cmake -B "$UBSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DPDSP_SANITIZE=undefined
   cmake --build "$UBSAN_DIR" -j "$JOBS" \
-        --target analysis_test sim_test exec_test property_test runtime_test
-  for t in analysis_test sim_test exec_test property_test runtime_test; do
+        --target analysis_test sim_test exec_test property_test runtime_test \
+                 data_test apps_test
+  for t in analysis_test sim_test exec_test property_test runtime_test \
+           data_test apps_test; do
     echo "--- ubsan: $t ---"
     UBSAN_OPTIONS=halt_on_error=1 "$UBSAN_DIR/tests/$t"
   done
