@@ -4,9 +4,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/obs/host_profile.h"
 #include "src/obs/mem.h"
 #include "src/obs/prof.h"
+#include "src/sim/event_queue.h"
 #include "src/sim/simulation.h"
 #include "tests/testing/test_plans.h"
 
@@ -93,6 +99,40 @@ void BM_SimJoinPlanAttr(benchmark::State& state) {
   RunSim(state, *plan, 5000.0, /*observability=*/true, /*attribute=*/true);
 }
 BENCHMARK(BM_SimJoinPlanAttr)->Arg(8);
+
+// The event queue alone at a steady depth: each item pops the earliest
+// event and pushes one later event, so the depth never changes. Delays are
+// shaped like the fanout cell's: cross-node deliveries at the 150 us link
+// latency plus a little transit time, 4 us same-node hand-offs, and
+// zero-delay events that tie with the current time (chained deliveries).
+// The payload is the engine's (task, kind, batch id). Not gated.
+void BM_EventQueue(benchmark::State& state) {
+  struct Payload {
+    int task;
+    uint8_t kind;
+    uint32_t batch;
+  };
+  const auto depth = static_cast<size_t>(state.range(0));
+  Rng rng(42);
+  std::vector<double> delays(4096);  // a power of two: index by mask
+  for (double& d : delays) {
+    const double u = rng.NextDouble();
+    d = u < 0.6 ? 150e-6 + rng.Uniform(0.0, 1e-7) : u < 0.8 ? 4e-6 : 0.0;
+  }
+  EventQueue<Payload> q;
+  for (size_t i = 0; i < depth; ++i) {
+    q.Push(rng.Uniform(0.0, 150e-6),
+           Payload{static_cast<int>(i % 193), 1, static_cast<uint32_t>(i)});
+  }
+  size_t k = 0;
+  for (auto _ : state) {
+    const auto e = q.Pop();
+    q.Push(e.time + delays[k++ & (delays.size() - 1)], e.payload);
+  }
+  benchmark::DoNotOptimize(q.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueue)->Arg(256)->Arg(2048)->Arg(8192);
 
 // Host-profiler acceptance pair: the HostProf variant scopes every run in a
 // "simulate" PhaseScope on a profiler (what the harness does per repeat),

@@ -1,6 +1,10 @@
 #include "src/sim/cost_model.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
+
+#include "src/common/string_util.h"
 
 namespace pdsp {
 
@@ -49,6 +53,37 @@ double CostModel::BatchCost(const OperatorDescriptor& op) const {
     c += keyed_coordination_cost * std::max(0, op.parallelism - 1);
   }
   return c;
+}
+
+Status CostModel::Validate() const {
+  const std::pair<const char*, double> fields[] = {
+      {"source_cost", source_cost},
+      {"filter_cost", filter_cost},
+      {"map_cost", map_cost},
+      {"flatmap_cost", flatmap_cost},
+      {"agg_update_cost", agg_update_cost},
+      {"join_insert_cost", join_insert_cost},
+      {"join_probe_cost", join_probe_cost},
+      {"udo_base_cost", udo_base_cost},
+      {"udo_state_cost", udo_state_cost},
+      {"sink_cost", sink_cost},
+      {"emit_cost", emit_cost},
+      {"join_match_cost", join_match_cost},
+      {"agg_fire_cost", agg_fire_cost},
+      {"batch_overhead", batch_overhead},
+      {"wm_batch_cost", wm_batch_cost},
+      {"subbatch_send_overhead", subbatch_send_overhead},
+      {"keyed_coordination_cost", keyed_coordination_cost},
+      {"serialization_cost_per_byte", serialization_cost_per_byte},
+      {"local_handoff_latency", local_handoff_latency},
+  };
+  for (const auto& [name, value] : fields) {
+    if (!(value >= 0.0 && std::isfinite(value))) {
+      return Status::InvalidArgument(StrFormat(
+          "cost model %s must be finite and >= 0, got %g", name, value));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace pdsp

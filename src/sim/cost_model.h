@@ -12,6 +12,7 @@
 #ifndef PDSP_SIM_COST_MODEL_H_
 #define PDSP_SIM_COST_MODEL_H_
 
+#include "src/common/status.h"
 #include "src/query/plan.h"
 
 namespace pdsp {
@@ -41,7 +42,7 @@ struct CostModel {
   // Batch / channel overheads — these grow with parallelism because higher
   // fan-out fragments batches into more, smaller sub-batches.
   double batch_overhead = 25e-6;          ///< per received batch (task wake)
-  double wm_batch_cost = 5e-6;            ///< processing a watermark-only batch
+  double wm_batch_cost = 5e-6;            ///< per watermark-only delivery
   double subbatch_send_overhead = 8e-6;   ///< per destination sub-batch sent
   /// Keyed-state coordination: per received batch, extra cost proportional
   /// to (operator parallelism - 1) — state repartitioning bookkeeping.
@@ -67,6 +68,10 @@ struct CostModel {
 
   /// Per-batch fixed cost for the given operator (framing + coordination).
   double BatchCost(const OperatorDescriptor& op) const;
+
+  /// InvalidArgument naming the first cost that is negative or not finite:
+  /// either could schedule an event before the current virtual time.
+  Status Validate() const;
 };
 
 }  // namespace pdsp

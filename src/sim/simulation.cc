@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <memory>
-#include <queue>
 #include <type_traits>
 #include <vector>
 
@@ -19,6 +17,7 @@
 #include "src/query/batch_layout.h"
 #include "src/runtime/kernels.h"
 #include "src/runtime/operators.h"
+#include "src/sim/event_queue.h"
 
 namespace pdsp {
 
@@ -28,8 +27,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 enum class EventKind : uint8_t { kSourceBatch, kDelivery, kReady };
 
-/// Index of a batch in the engine's BatchPool; kNoBatch for none.
+/// Index of a batch in the engine's BatchPool; kNoBatch for none. An id
+/// with kWmTag set names a WmRecord instead.
 constexpr uint32_t kNoBatch = std::numeric_limits<uint32_t>::max();
+constexpr uint32_t kWmTag = uint32_t{1} << 31;
 
 struct Batch {
   /// Payload rows in columnar form (schema-specialized per sending edge).
@@ -45,23 +46,28 @@ struct Batch {
   double watermark = -kInf;
   /// Free list (distinct output layout) this batch returns to.
   uint32_t layout_id = 0;
+  /// The next id in the receiving task's input FIFO.
+  uint32_t next = kNoBatch;
 };
 
+/// A watermark-only delivery: the sender's watermark for one channel slot
+/// and no rows. A watermark broadcast sends one to every destination that
+/// received no data.
+struct WmRecord {
+  double watermark = -kInf;
+  uint32_t wm_slot = 0;
+  /// The next id in the receiving task's input FIFO, or in the free list
+  /// while released.
+  uint32_t next = kNoBatch;
+};
+
+/// What the event queue carries besides the time.
 struct Event {
-  double time = 0.0;
-  int64_t seq = 0;
   int task = 0;
   EventKind kind = EventKind::kReady;
   uint32_t batch = kNoBatch;
 };
 static_assert(std::is_trivially_copyable_v<Event>);
-
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;  // FIFO tie-break for determinism
-  }
-};
 
 /// \brief Engine-owned batch storage addressed by index, so events, queues
 /// and planned deliveries carry a uint32_t instead of a shared pointer.
@@ -69,7 +75,8 @@ struct EventLater {
 /// operator: operators sharing a layout share storage). A released batch
 /// keeps its column storage only if it held at most kKeepStorageRows rows;
 /// larger ones drop it, so one saturated burst does not pin its peak
-/// footprint in every pooled batch.
+/// footprint in every pooled batch. Watermark records share the id space
+/// (kWmTag) and have one free list of their own.
 class BatchPool {
  public:
   static constexpr size_t kKeepStorageRows = 64;
@@ -77,7 +84,14 @@ class BatchPool {
   explicit BatchPool(std::vector<data::BatchLayout> layouts = {})
       : layouts_(std::move(layouts)), free_(layouts_.size()) {}
 
-  Batch& operator[](uint32_t id) { return batches_[id]; }
+  static bool IsWm(uint32_t id) { return (id & kWmTag) != 0; }
+
+  Batch& operator[](uint32_t id) { return *batches_[id]; }
+  WmRecord& wm(uint32_t id) { return wm_records_[id & ~kWmTag]; }
+  /// The input-FIFO link of a batch or a watermark record.
+  uint32_t& next(uint32_t id) {
+    return IsWm(id) ? wm(id).next : (*this)[id].next;
+  }
 
   /// An empty batch of layout `layout_id`.
   uint32_t Acquire(uint32_t layout_id) {
@@ -87,14 +101,14 @@ class BatchPool {
       free.pop_back();
       return id;
     }
-    Batch& b = batches_.emplace_back();
+    Batch& b = *batches_.emplace_back(std::make_unique<Batch>());
     b.rows = data::Batch(layouts_[layout_id]);
     b.layout_id = layout_id;
     return static_cast<uint32_t>(batches_.size() - 1);
   }
 
   void Release(uint32_t id) {
-    Batch& b = batches_[id];
+    Batch& b = *batches_[id];
     if (b.rows.NumRows() <= kKeepStorageRows) {
       b.rows.Clear();
     } else {
@@ -103,11 +117,31 @@ class BatchPool {
     free_[b.layout_id].push_back(id);
   }
 
+  /// A watermark record (an id with kWmTag set).
+  uint32_t AcquireWm() {
+    const uint32_t id = wm_free_;
+    if (id != kNoBatch) {
+      wm_free_ = wm(id).next;
+      return id;
+    }
+    wm_records_.emplace_back();
+    return static_cast<uint32_t>(wm_records_.size() - 1) | kWmTag;
+  }
+
+  void ReleaseWm(uint32_t id) {
+    wm(id).next = wm_free_;
+    wm_free_ = id;
+  }
+
  private:
   std::vector<data::BatchLayout> layouts_;
-  // A deque: growing it never moves a live batch.
-  std::deque<Batch> batches_;
+  // Batches live behind pointers: growing the vector never moves a live
+  // batch, and looking an id up is a vector index, not deque chunk
+  // arithmetic (a 512-byte deque chunk holds only two batches).
+  std::vector<std::unique_ptr<Batch>> batches_;
   std::vector<std::vector<uint32_t>> free_;  // per layout id
+  std::vector<WmRecord> wm_records_;
+  uint32_t wm_free_ = kNoBatch;  // free list threaded through WmRecord::next
 };
 
 // Simulator internals for one run.
@@ -127,7 +161,11 @@ class Engine {
  private:
   struct TaskState {
     std::unique_ptr<OperatorInstance> instance;  // null for sources
-    std::deque<uint32_t> queue;                  // BatchPool ids
+    // Input FIFO of BatchPool ids (batches and watermark records), linked
+    // through BatchPool::next; queue_tail is stale while queue_head is
+    // kNoBatch.
+    uint32_t queue_head = kNoBatch;
+    uint32_t queue_tail = kNoBatch;
     size_t queued_tuples = 0;
     double busy_until = 0.0;
     // Event-time watermarks: one slot per upstream task (see WmRoute), the
@@ -192,22 +230,22 @@ class Engine {
   void MaybeStart(int task, double now);
 
   /// Splits outputs into per-destination sub-batches, adds the send-side
-  /// costs to *cost, and fills *deliveries with (delay, dest, batch).
+  /// costs to *cost, and fills `deliveries_` with (delay, dest, batch).
   /// Hash partitioning runs the columnar partition kernel (hash the key
   /// column once, scatter row indices, gather each destination's rows in
   /// one pass); rebalance and forward reduce to index arithmetic plus a
   /// range copy. Destination order and per-destination row order are those
   /// of routing each row on its own, in row order. Every sub-batch carries
   /// `sender_wm`; when `broadcast_wm` is set, destinations that received no
-  /// data still get a watermark-only batch (Flink's periodic watermark
-  /// emission). Deliveries go to `deliveries_` in ascending destination
-  /// order per group.
+  /// data still get a watermark record, a 0-byte send (Flink's periodic
+  /// watermark emission). Deliveries go to `deliveries_` in ascending
+  /// destination order per group.
   void RouteOutputs(int task, const data::Batch& outputs, double sender_wm,
                     bool broadcast_wm, double* cost);
 
-  /// Applies a processed batch's watermark to its channel and keeps the
-  /// task's input watermark equal to the min over its channels.
-  void ApplyWatermark(TaskState* state, const Batch& batch);
+  /// Applies a processed delivery's watermark to its channel slot and keeps
+  /// the task's input watermark equal to the min over its channels.
+  void ApplyWatermark(TaskState* state, uint32_t slot, double watermark);
   /// Turns `deliveries_` into delivery events and clears it.
   void DispatchDeliveries(double completion);
   void EmitSourceBatch(int task, double now);
@@ -247,8 +285,7 @@ class Engine {
   const CostModel& costs_;
   const SimOptions& options_;
 
-  std::priority_queue<Event, std::vector<Event>, EventLater> heap_;
-  int64_t seq_ = 0;
+  EventQueue<Event> events_;
   std::vector<TaskState> tasks_;
   std::vector<std::vector<ChannelGroup>> out_channels_;  // per op
   std::vector<std::vector<WmRoute>> out_wm_;  // per op, parallel to groups
@@ -412,22 +449,17 @@ void Engine::SetUpWatermarkChannels() {
 }
 
 void Engine::Push(double time, EventKind kind, int task, uint32_t batch) {
-  Event e;
-  e.time = time;
-  e.seq = seq_++;
-  e.kind = kind;
-  e.task = task;
-  e.batch = batch;
-  heap_.push(e);
+  events_.Push(time, Event{task, kind, batch});
 }
 
-void Engine::ApplyWatermark(TaskState* state, const Batch& batch) {
-  double& wm = state->channel_wm[batch.wm_slot];
-  if (batch.watermark <= wm) return;
+void Engine::ApplyWatermark(TaskState* state, uint32_t slot,
+                            double watermark) {
+  double& wm = state->channel_wm[slot];
+  if (watermark <= wm) return;
   // input_wm is the min over the channels, so only advancing the last
   // channel still at the min can raise it; then rescan.
   const bool was_at_min = wm == state->input_wm;
-  wm = batch.watermark;
+  wm = watermark;
   if (!was_at_min || --state->channels_at_min > 0) return;
   double min_wm = kInf;
   size_t at_min = 0;
@@ -571,13 +603,15 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
       }
     }
     if (broadcast_wm) {
-      // Watermark-only batches for destinations with no data this round.
+      // Every destination hears this round's watermark: those with no data
+      // get a watermark record. Data destinations were touched first, so
+      // the list is rebuilt in ascending order.
+      touched_.clear();
       for (int d = 0; d < p_dest; ++d) {
         if (g.mode == Partitioning::kForward && d != pt.instance) continue;
-        sub_batch(d);
+        if (dest_batch_[d] == kNoBatch) dest_batch_[d] = pool_.AcquireWm();
+        touched_.push_back(d);
       }
-      // Data destinations were touched first; restore ascending order.
-      std::sort(touched_.begin(), touched_.end());
     }
     const bool chained =
         g.mode == Partitioning::kForward && costs_.chain_forward_channels;
@@ -588,11 +622,19 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
     for (const int d : touched_) {
       const uint32_t id = dest_batch_[d];
       dest_batch_[d] = kNoBatch;
-      Batch& sub = pool_[id];
-      sub.wm_slot = wm_slot;
-      sub.watermark = sender_wm;
-      sub.chained = chained;
-      const size_t sub_rows = sub.rows.NumRows();
+      const bool wm_only = BatchPool::IsWm(id);
+      size_t sub_rows = 0;
+      if (wm_only) {
+        WmRecord& rec = pool_.wm(id);
+        rec.wm_slot = wm_slot;
+        rec.watermark = sender_wm;
+      } else {
+        Batch& sub = pool_[id];
+        sub.wm_slot = wm_slot;
+        sub.watermark = sender_wm;
+        sub.chained = chained;
+        sub_rows = sub.rows.NumRows();
+      }
       const int dest_task = plan_.TaskId(g.to_op, d);
       const int dest_node = placement_.node_of_task[dest_task];
       state.tuples_out += static_cast<int64_t>(sub_rows);
@@ -606,7 +648,9 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
       if (dest_node == src_node) {
         delay = costs_.local_handoff_latency;
       } else {
-        const size_t bytes = sub.rows.WireSize(0, sub_rows);
+        // A watermark record is a 0-byte send.
+        const size_t bytes =
+            wm_only ? 0 : pool_[id].rows.WireSize(0, sub_rows);
         *cost += static_cast<double>(bytes) *
                  costs_.serialization_cost_per_byte;
         delay = cluster_.LinkLatencySeconds(src_node, dest_node) +
@@ -621,7 +665,9 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
 
 void Engine::DispatchDeliveries(double completion) {
   for (const PlannedDelivery& d : deliveries_) {
-    pending_tuples_ += static_cast<int64_t>(pool_[d.batch].rows.NumRows());
+    if (!BatchPool::IsWm(d.batch)) {
+      pending_tuples_ += static_cast<int64_t>(pool_[d.batch].rows.NumRows());
+    }
     Push(completion + d.delay, EventKind::kDelivery, d.dest_task, d.batch);
   }
   deliveries_.clear();
@@ -647,6 +693,7 @@ void Engine::ChargeDispatch(LogicalPlan::OpId op, double completion,
                             bool is_source) {
   OperatorLatencyStats& acc = op_latency_[op];
   for (const PlannedDelivery& d : deliveries_) {
+    if (BatchPool::IsWm(d.batch)) continue;  // no rows to charge
     for (uint32_t attr : pool_[d.batch].rows.attr_ids()) {
       if (attr == kNoAttr) continue;
       LatencyAttr& a = attr_pool_[attr];
@@ -805,35 +852,39 @@ Status Engine::ProcessOne(int task, double now) {
   } else {
     obs::prof::ProfScope kernel_scope(obs::prof::FrameKind::kKernel,
                                       kernel_process_id_);
-    const uint32_t id = state.queue.front();
-    state.queue.pop_front();
-    const Batch& batch = pool_[id];
-    const size_t rows = batch.rows.NumRows();
-    in_tuples = rows;
-    state.queued_tuples -= rows;
-    pending_tuples_ -= static_cast<int64_t>(rows);
-    state.tuples_in += static_cast<int64_t>(rows);
-    if (attribute_) ChargeQueueWait(pt.op, now, batch);
-    if (rows == 0) {
+    const uint32_t id = state.queue_head;
+    state.queue_head = pool_.next(id);
+    if (BatchPool::IsWm(id)) {
+      const WmRecord& rec = pool_.wm(id);
       cost = costs_.wm_batch_cost;
+      ApplyWatermark(&state, rec.wm_slot, rec.watermark);
+      pool_.ReleaseWm(id);
     } else {
+      const Batch& batch = pool_[id];
+      // Every data sub-batch carries rows; 0-row deliveries are records.
+      const size_t rows = batch.rows.NumRows();
+      in_tuples = rows;
+      state.queued_tuples -= rows;
+      pending_tuples_ -= static_cast<int64_t>(rows);
+      state.tuples_in += static_cast<int64_t>(rows);
+      if (attribute_) ChargeQueueWait(pt.op, now, batch);
       cost = (batch.chained ? 0.0 : costs_.BatchCost(op)) +
              static_cast<double>(rows) * costs_.InputTupleCost(op);
       ctr_data_batches_->Add(1);
       ctr_data_rows_->Add(static_cast<int64_t>(rows));
+      // Vectorized kernels run over chunks of at most batch_rows rows; the
+      // chunking is invisible in virtual time (same `now`, same cost model)
+      // and in results (kernels preserve row order and RNG draw order).
+      const auto chunk =
+          static_cast<size_t>(std::max<int64_t>(1, options_.batch_rows));
+      for (size_t begin = 0; begin < rows; begin += chunk) {
+        PDSP_RETURN_NOT_OK(state.instance->ProcessBatch(
+            batch.rows, begin, std::min(rows, begin + chunk),
+            batch.input_port, now, &outputs));
+      }
+      ApplyWatermark(&state, batch.wm_slot, batch.watermark);
+      pool_.Release(id);
     }
-    // Vectorized kernels run over chunks of at most batch_rows rows; the
-    // chunking is invisible in virtual time (same `now`, same cost model)
-    // and in results (kernels preserve row order and RNG draw order).
-    const auto chunk =
-        static_cast<size_t>(std::max<int64_t>(1, options_.batch_rows));
-    for (size_t begin = 0; begin < rows; begin += chunk) {
-      PDSP_RETURN_NOT_OK(state.instance->ProcessBatch(
-          batch.rows, begin, std::min(rows, begin + chunk), batch.input_port,
-          now, &outputs));
-    }
-    ApplyWatermark(&state, batch);
-    pool_.Release(id);
   }
   if (outputs.promotions() > 0) {
     ctr_data_promotions_->Add(static_cast<int64_t>(outputs.promotions()));
@@ -908,7 +959,7 @@ void Engine::MaybeStart(int task, double now) {
   if (state.busy_until > now) return;     // completion event will re-enter
   const double next_timer = state.instance->NextTimerTime();
   const bool timer_due = next_timer < kInf && next_timer <= state.input_wm;
-  if (state.queue.empty() && !timer_due) return;
+  if (state.queue_head == kNoBatch && !timer_due) return;
   // Errors here indicate plan/runtime inconsistencies; they are surfaced via
   // the run loop's status.
   Status st = ProcessOne(task, now);
@@ -960,40 +1011,48 @@ Result<SimResult> Engine::Run() {
 
   {
     obs::Span span(options_.tracer, "simulate", "sim");
-    while (!heap_.empty()) {
+    while (!events_.empty()) {
       if (++events_processed_ > options_.max_events) {
         return Status::ResourceExhausted(
             StrFormat("simulation exceeded %lld events",
                       static_cast<long long>(options_.max_events)));
       }
-      Event e = heap_.top();
-      heap_.pop();
-      while (next_sample <= e.time && next_sample <= options_.duration_s) {
+      const auto [time, e] = events_.Pop();
+      while (next_sample <= time && next_sample <= options_.duration_s) {
         SampleTimeSeries(next_sample);
         next_sample += interval;
       }
-      result_.virtual_time_end = e.time;
+      result_.virtual_time_end = time;
       TaskState& state = tasks_[e.task];
       switch (e.kind) {
         case EventKind::kSourceBatch:
           ++event_counts_.source_batch;
-          EmitSourceBatch(e.task, e.time);
+          EmitSourceBatch(e.task, time);
           break;
         case EventKind::kDelivery: {
-          const Batch& batch = pool_[e.batch];
-          const size_t rows = batch.rows.NumRows();
-          ++(rows == 0 ? event_counts_.wm_delivery : event_counts_.delivery);
-          if (attribute_) ChargeNetwork(plan_.task(e.task).op, e.time, batch);
-          state.queue.push_back(e.batch);
-          state.queued_tuples += rows;
-          state.max_queue_tuples =
-              std::max(state.max_queue_tuples, state.queued_tuples);
-          MaybeStart(e.task, e.time);
+          if (BatchPool::IsWm(e.batch)) {
+            ++event_counts_.wm_delivery;
+          } else {
+            const Batch& batch = pool_[e.batch];
+            ++event_counts_.delivery;
+            if (attribute_) ChargeNetwork(plan_.task(e.task).op, time, batch);
+            state.queued_tuples += batch.rows.NumRows();
+            state.max_queue_tuples =
+                std::max(state.max_queue_tuples, state.queued_tuples);
+          }
+          pool_.next(e.batch) = kNoBatch;
+          if (state.queue_head == kNoBatch) {
+            state.queue_head = e.batch;
+          } else {
+            pool_.next(state.queue_tail) = e.batch;
+          }
+          state.queue_tail = e.batch;
+          MaybeStart(e.task, time);
           break;
         }
         case EventKind::kReady:
           ++event_counts_.ready;
-          MaybeStart(e.task, e.time);
+          MaybeStart(e.task, time);
           break;
       }
       if (!run_error_.ok()) return run_error_;
@@ -1088,6 +1147,36 @@ Result<SimResult> Engine::Run() {
   return std::move(result_);
 }
 
+/// Rejects inputs under which virtual time could stand still or run
+/// backwards: the event queue requires every push to be no earlier than the
+/// last pop, and a zero source interval would re-push one event forever.
+Status CheckClockInputs(const Cluster& cluster, const CostModel& costs,
+                        const SimOptions& options) {
+  PDSP_RETURN_NOT_OK(costs.Validate());
+  const double interval = options.source_batch_interval_s;
+  if (!(interval > 0.0 && std::isfinite(interval))) {
+    return Status::InvalidArgument(StrFormat(
+        "source_batch_interval_s must be finite and > 0, got %g", interval));
+  }
+  const int num_nodes = static_cast<int>(cluster.NumNodes());
+  for (int a = 0; a < num_nodes; ++a) {
+    const double gbps = cluster.node(a).spec.nic_gbps;
+    if (!(gbps > 0.0 && std::isfinite(gbps))) {
+      return Status::InvalidArgument(StrFormat(
+          "node %d: nic_gbps must be finite and > 0, got %g", a, gbps));
+    }
+    for (int b = 0; b < num_nodes; ++b) {
+      const double latency = cluster.LinkLatencySeconds(a, b);
+      if (a != b && !(latency >= 0.0 && std::isfinite(latency))) {
+        return Status::InvalidArgument(StrFormat(
+            "link latency %d->%d must be finite and >= 0, got %g", a, b,
+            latency));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string SimResult::Summary() const {
@@ -1117,6 +1206,7 @@ Result<SimResult> Simulation::Run(const PhysicalPlan& plan,
   if (options.batch_rows < 1) {
     return Status::InvalidArgument("batch_rows must be >= 1");
   }
+  PDSP_RETURN_NOT_OK(CheckClockInputs(cluster, costs, options));
   Engine engine(plan, cluster, placement, costs, options);
   return engine.Run();
 }

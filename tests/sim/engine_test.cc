@@ -51,6 +51,42 @@ TEST(EngineTest, EventCountsSplitEventsProcessedByKind) {
   EXPECT_EQ(reg.CounterValue("pdsp.sim.events.ready"), c.ready);
 }
 
+// The same linear plan at p=16 with attribution on: a wide hash fan-out
+// whose deliveries carry about two rows each, plus watermark-only ones, so
+// every charge point runs on the tiny sub-batches of the fanout cell.
+TEST(EngineTest, AttributedFanOutResultsArePinned) {
+  CanonicalOptions plan_options;
+  plan_options.event_rate = 200e3;
+  plan_options.parallelism = 16;
+  auto plan =
+      MakeCanonicalSynthetic(SyntheticStructure::kLinear, plan_options);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ExecutionOptions opt;
+  opt.sim.duration_s = 1.0;
+  opt.sim.warmup_s = 0.25;
+  opt.sim.seed = 42;
+  opt.sim.attribute_latency = true;
+  auto r = ExecutePlan(*plan, Cluster::M510(10), opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  const SimEventCounts& c = r->event_counts;
+  EXPECT_EQ(c.source_batch, 3200);
+  EXPECT_EQ(c.delivery, 146555);
+  EXPECT_EQ(c.wm_delivery, 4995);
+  EXPECT_EQ(c.ready, 151566);
+  EXPECT_EQ(r->sink_tuples, 1000);
+  EXPECT_EQ(r->median_latency_s, 0.99550027293333465);
+  EXPECT_EQ(r->p95_latency_s, 1.0028604340444456);
+  EXPECT_EQ(r->p99_latency_s, 1.0037575009207564);
+  EXPECT_EQ(r->mean_latency_s, 0.99110816132445156);
+  const LatencyBreakdown& bd = r->breakdown;
+  EXPECT_EQ(bd.source_batch_s, 0.0031767801324504501);
+  EXPECT_EQ(bd.network_s, 0.00041310899520001466);
+  EXPECT_EQ(bd.queue_s, 0.0010683163776005005);
+  EXPECT_EQ(bd.service_s, 0.00075926096400006369);
+  EXPECT_EQ(bd.window_s, 0.98569069485519911);
+}
+
 struct Pinned {
   int64_t source_tuples;
   int64_t sink_tuples;

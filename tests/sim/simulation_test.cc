@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/query/cardinality.h"
 #include "tests/testing/test_plans.h"
@@ -155,6 +156,43 @@ TEST(SimulationTest, BadOptionsRejected) {
   opt.sim.duration_s = 1.0;
   opt.sim.warmup_s = 2.0;
   EXPECT_FALSE(ExecutePlan(*plan, Cluster::M510(2), opt).ok());
+  opt.sim.warmup_s = 0.5;
+  ASSERT_TRUE(ExecutePlan(*plan, Cluster::M510(2), opt).ok());
+
+  // Inputs under which virtual time would stand still or run backwards.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto rejected = [&](const ExecutionOptions& o, const Cluster& cluster) {
+    return ExecutePlan(*plan, cluster, o).status().IsInvalidArgument();
+  };
+  for (const double bad : {-2.5e-6, nan, inf}) {
+    ExecutionOptions o = opt;
+    o.costs.filter_cost = bad;
+    EXPECT_TRUE(rejected(o, Cluster::M510(2))) << "filter_cost " << bad;
+    o = opt;
+    o.costs.local_handoff_latency = bad;
+    EXPECT_TRUE(rejected(o, Cluster::M510(2)))
+        << "local_handoff_latency " << bad;
+  }
+  for (const double bad : {0.0, -0.005, nan, inf}) {
+    ExecutionOptions o = opt;
+    o.sim.source_batch_interval_s = bad;
+    EXPECT_TRUE(rejected(o, Cluster::M510(2))) << "interval " << bad;
+  }
+  for (const double bad : {-150e-6, nan, inf}) {
+    Cluster::Options cluster_options;
+    cluster_options.link_latency_s = bad;
+    Cluster cluster(cluster_options);
+    cluster.AddNodes(M510Spec(), 2);
+    EXPECT_TRUE(rejected(opt, cluster)) << "link latency " << bad;
+  }
+  for (const double bad : {0.0, -10.0, nan, inf}) {
+    NodeSpec spec = M510Spec();
+    spec.nic_gbps = bad;
+    Cluster cluster;
+    cluster.AddNodes(spec, 2);
+    EXPECT_TRUE(rejected(opt, cluster)) << "nic_gbps " << bad;
+  }
 }
 
 TEST(SimulationTest, PlacementSizeMismatchRejected) {

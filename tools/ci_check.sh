@@ -51,20 +51,29 @@ for t in sim_test data_test runtime_test; do
   "$RELEASE_DIR/tests/$t"
 done
 
-step "Debug build (asserts on) and the runtime/data/apps/sim suites"
+step "Debug build (asserts on): runtime/data/apps/sim suites, benchmark smoke"
 # Only a Debug tree compiles the data plane's asserts: Batch::FinishRow
 # checks every column reached the new row count, AppendRange/AppendGather
 # check source and destination have one column count. Operators, fired
 # windows and UDO emits append output column by column, so a short column
 # or a column-count mix-up fails here instead of silently shifting cells.
+# The event queue asserts that no event is pushed earlier than the last
+# pop. The benchmark smoke runs the first cell of every workload (p=64
+# included) against its reference digests under these asserts; it is
+# called directly because ctest's e2e_smoke timeout is sized for an
+# optimized build.
 DEBUG_DIR="${BUILD_DIR}-debug"
 cmake -B "$DEBUG_DIR" -S . -DCMAKE_BUILD_TYPE=Debug
 cmake --build "$DEBUG_DIR" -j "$JOBS" \
-      --target runtime_test data_test apps_test sim_test
+      --target runtime_test data_test apps_test sim_test pdsp_e2e
 for t in runtime_test data_test apps_test sim_test; do
   echo "--- debug: $t ---"
   "$DEBUG_DIR/tests/$t"
 done
+echo "--- debug: pdsp_e2e --smoke ---"
+"$DEBUG_DIR/bench/e2e/pdsp_e2e" --smoke --benchmark BENCHMARK.json \
+    --reference bench/e2e/reference_digests.json \
+    --out "$DEBUG_DIR/e2e-smoke"
 
 if [ "${PDSP_SKIP_TSAN:-0}" != "1" ]; then
   step "ThreadSanitizer pass (exec/sim/obs/harness suites)"
