@@ -84,6 +84,19 @@ std::string_view StringArena::Add(std::string_view s) {
   return std::string_view(dest, s.size());
 }
 
+void StringArena::Clear() {
+  if (chunks_.size() > 1) {
+    auto largest = std::max_element(
+        chunks_.begin(), chunks_.end(),
+        [](const Chunk& a, const Chunk& b) { return a.cap < b.cap; });
+    Chunk keep = std::move(*largest);
+    chunks_.clear();
+    chunks_.push_back(std::move(keep));
+  }
+  if (!chunks_.empty()) chunks_.front().used = 0;
+  total_bytes_ = 0;
+}
+
 std::string_view StringInternTable::Intern(std::string_view s,
                                            StringArena* arena) {
   const uint32_t hash = InternHash(s);

@@ -84,10 +84,10 @@ class StringArena {
 
   size_t TotalBytes() const { return total_bytes_; }
 
-  void Clear() {
-    chunks_.clear();
-    total_bytes_ = 0;
-  }
+  /// Forgets every string. The largest chunk stays, rewound, so a batch
+  /// cleared for reuse does not allocate again for its first strings; the
+  /// others are freed.
+  void Clear();
 
  private:
   // First chunk is small (a per-firing batch usually holds a handful of

@@ -1,10 +1,13 @@
 #include "src/sim/simulation.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -27,121 +30,108 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 enum class EventKind : uint8_t { kSourceBatch, kDelivery, kReady };
 
-/// Index of a batch in the engine's BatchPool; kNoBatch for none. An id
-/// with kWmTag set names a WmRecord instead.
-constexpr uint32_t kNoBatch = std::numeric_limits<uint32_t>::max();
-constexpr uint32_t kWmTag = uint32_t{1} << 31;
+/// Index of a delivery record or of a pooled chunk; kNone for none.
+constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
-struct Batch {
-  /// Payload rows in columnar form (schema-specialized per sending edge).
-  data::Batch rows;
+/// \brief One delivery: rows [begin, end) of a chunk of its receiver's (see
+/// BatchPool), or no rows at all, plus what the receiver applies when it
+/// processes them. A watermark broadcast sends a record with no rows
+/// (chunk kNone) to every destination that received no data.
+struct Delivery {
+  uint32_t chunk = kNone;
+  uint32_t begin = 0;
+  uint32_t end = 0;
   int input_port = 0;
   /// Delivered over a chained forward channel: the receiver charges no
   /// framing overhead (same-thread call, as in Flink operator chains).
   bool chained = false;
   /// The sender's slot in the receiver's watermark table.
   uint32_t wm_slot = 0;
-  /// Event-time watermark of the sender when this batch left it. Applied at
-  /// processing time (after all earlier batches on the same channel).
+  /// Event-time watermark of the sender when this delivery left it. Applied
+  /// at processing time (after all earlier deliveries on the same channel).
   double watermark = -kInf;
-  /// Free list (distinct output layout) this batch returns to.
-  uint32_t layout_id = 0;
-  /// The next id in the receiving task's input FIFO.
-  uint32_t next = kNoBatch;
-};
-
-/// A watermark-only delivery: the sender's watermark for one channel slot
-/// and no rows. A watermark broadcast sends one to every destination that
-/// received no data.
-struct WmRecord {
-  double watermark = -kInf;
-  uint32_t wm_slot = 0;
   /// The next id in the receiving task's input FIFO, or in the free list
   /// while released.
-  uint32_t next = kNoBatch;
+  uint32_t next = kNone;
+
+  size_t rows() const { return end - begin; }
 };
 
 /// What the event queue carries besides the time.
 struct Event {
   int task = 0;
   EventKind kind = EventKind::kReady;
-  uint32_t batch = kNoBatch;
+  uint32_t delivery = kNone;
 };
 static_assert(std::is_trivially_copyable_v<Event>);
 
-/// \brief Engine-owned batch storage addressed by index, so events, queues
-/// and planned deliveries carry a uint32_t instead of a shared pointer.
-/// Released batches go on one free list per distinct layout (not per
-/// operator: operators sharing a layout share storage). A released batch
-/// keeps its column storage only if it held at most kKeepStorageRows rows;
-/// larger ones drop it, so one saturated burst does not pin its peak
-/// footprint in every pooled batch. Watermark records share the id space
-/// (kWmTag) and have one free list of their own.
+/// \brief A pooled batch holding the rows of some of one receiver's
+/// deliveries of one layout, in the order they were sent.
+struct Chunk {
+  data::Batch rows;
+  uint32_t layout_id = 0;
+  /// Deliveries into this chunk that the receiver has not processed yet.
+  uint32_t live = 0;
+  /// The receiver's open chunk for this layout: new deliveries append here.
+  bool open = false;
+};
+
+/// \brief Engine-owned chunk storage addressed by index, so delivery
+/// records carry a uint32_t instead of a shared pointer. Released chunks go
+/// on one free list per distinct layout (not per operator: operators sharing
+/// a layout share storage). An emptied chunk, open or released, keeps its
+/// column storage only if it held at most kKeepStorageRows rows; larger
+/// ones drop it, so one saturated burst does not pin its peak footprint in
+/// every pooled chunk.
 class BatchPool {
  public:
+  /// Also the most rows a chunk takes from several deliveries: a delivery
+  /// that would take a non-empty chunk past it goes to a fresh chunk.
   static constexpr size_t kKeepStorageRows = 64;
 
   explicit BatchPool(std::vector<data::BatchLayout> layouts = {})
       : layouts_(std::move(layouts)), free_(layouts_.size()) {}
 
-  static bool IsWm(uint32_t id) { return (id & kWmTag) != 0; }
+  Chunk& operator[](uint32_t id) { return *chunks_[id]; }
+  const Chunk& operator[](uint32_t id) const { return *chunks_[id]; }
 
-  Batch& operator[](uint32_t id) { return *batches_[id]; }
-  WmRecord& wm(uint32_t id) { return wm_records_[id & ~kWmTag]; }
-  /// The input-FIFO link of a batch or a watermark record.
-  uint32_t& next(uint32_t id) {
-    return IsWm(id) ? wm(id).next : (*this)[id].next;
-  }
-
-  /// An empty batch of layout `layout_id`.
+  /// An empty open chunk of layout `layout_id` with no deliveries.
   uint32_t Acquire(uint32_t layout_id) {
     std::vector<uint32_t>& free = free_[layout_id];
-    if (!free.empty()) {
-      const uint32_t id = free.back();
-      free.pop_back();
-      return id;
+    if (free.empty()) {
+      Chunk& c = *chunks_.emplace_back(std::make_unique<Chunk>());
+      c.rows = data::Batch(layouts_[layout_id]);
+      c.layout_id = layout_id;
+      free.push_back(static_cast<uint32_t>(chunks_.size() - 1));
     }
-    Batch& b = *batches_.emplace_back(std::make_unique<Batch>());
-    b.rows = data::Batch(layouts_[layout_id]);
-    b.layout_id = layout_id;
-    return static_cast<uint32_t>(batches_.size() - 1);
+    const uint32_t id = free.back();
+    free.pop_back();
+    chunks_[id]->open = true;
+    return id;
   }
 
-  void Release(uint32_t id) {
-    Batch& b = *batches_[id];
-    if (b.rows.NumRows() <= kKeepStorageRows) {
-      b.rows.Clear();
+  /// Drops a chunk's rows once its deliveries are all processed.
+  void Empty(uint32_t id) {
+    Chunk& c = *chunks_[id];
+    if (c.rows.NumRows() <= kKeepStorageRows) {
+      c.rows.Clear();
     } else {
-      b.rows = data::Batch(layouts_[b.layout_id]);
+      c.rows = data::Batch(layouts_[c.layout_id]);
     }
-    free_[b.layout_id].push_back(id);
   }
 
-  /// A watermark record (an id with kWmTag set).
-  uint32_t AcquireWm() {
-    const uint32_t id = wm_free_;
-    if (id != kNoBatch) {
-      wm_free_ = wm(id).next;
-      return id;
-    }
-    wm_records_.emplace_back();
-    return static_cast<uint32_t>(wm_records_.size() - 1) | kWmTag;
-  }
-
-  void ReleaseWm(uint32_t id) {
-    wm(id).next = wm_free_;
-    wm_free_ = id;
+  /// Empties a closed chunk and returns it to its layout's free list.
+  void Release(uint32_t id) {
+    Empty(id);
+    free_[chunks_[id]->layout_id].push_back(id);
   }
 
  private:
   std::vector<data::BatchLayout> layouts_;
-  // Batches live behind pointers: growing the vector never moves a live
-  // batch, and looking an id up is a vector index, not deque chunk
-  // arithmetic (a 512-byte deque chunk holds only two batches).
-  std::vector<std::unique_ptr<Batch>> batches_;
+  // Chunks live behind pointers: growing the vector never moves a live
+  // chunk, and looking an id up is a vector index.
+  std::vector<std::unique_ptr<Chunk>> chunks_;
   std::vector<std::vector<uint32_t>> free_;  // per layout id
-  std::vector<WmRecord> wm_records_;
-  uint32_t wm_free_ = kNoBatch;  // free list threaded through WmRecord::next
 };
 
 // Simulator internals for one run.
@@ -161,11 +151,13 @@ class Engine {
  private:
   struct TaskState {
     std::unique_ptr<OperatorInstance> instance;  // null for sources
-    // Input FIFO of BatchPool ids (batches and watermark records), linked
-    // through BatchPool::next; queue_tail is stale while queue_head is
-    // kNoBatch.
-    uint32_t queue_head = kNoBatch;
-    uint32_t queue_tail = kNoBatch;
+    // Input FIFO of delivery record ids, linked through Delivery::next;
+    // queue_tail is stale while queue_head is kNone.
+    uint32_t queue_head = kNone;
+    uint32_t queue_tail = kNone;
+    // (layout id, chunk id) of this task's open chunk per input layout: the
+    // pooled batch its senders append the rows of new deliveries to.
+    std::vector<std::pair<uint32_t, uint32_t>> open_chunks;
     size_t queued_tuples = 0;
     double busy_until = 0.0;
     // Event-time watermarks: one slot per upstream task (see WmRoute), the
@@ -195,7 +187,7 @@ class Engine {
   struct PlannedDelivery {
     double delay = 0.0;  // relative to sender completion
     int dest_task = 0;
-    uint32_t batch = kNoBatch;
+    uint32_t delivery = kNone;
   };
 
   /// Where a sender on one outgoing channel group writes in the receiver's
@@ -212,7 +204,22 @@ class Engine {
   Status SetUpTasks();
   /// Builds the per-receiver watermark tables and the senders' WmRoutes.
   void SetUpWatermarkChannels();
-  void Push(double time, EventKind kind, int task, uint32_t batch = kNoBatch);
+  void Push(double time, EventKind kind, int task, uint32_t delivery = kNone);
+
+  /// A delivery record with no rows and no fields set.
+  uint32_t NewRecord();
+  /// A delivery record for `rows` rows of layout `layout_id` to
+  /// `dest_task`: the rows go at the end of the task's open chunk for that
+  /// layout, which is closed and replaced first if it is non-empty and they
+  /// would take it past BatchPool::kKeepStorageRows. The caller appends
+  /// exactly `rows` rows to the chunk.
+  uint32_t NewRowsRecord(int dest_task, uint32_t layout_id, size_t rows);
+  /// Marks a processed record's rows done and frees the record. A chunk
+  /// whose last delivery is done is emptied in place while it is open and
+  /// returns to the pool once closed.
+  void ReleaseRecord(uint32_t id);
+  /// The attribution handles of a delivery's rows (empty for none).
+  std::span<const uint32_t> AttrIds(const Delivery& d) const;
 
   /// Appends one time-series row per task at virtual time `t` (rates and
   /// utilization over the elapsed time since the previous sample — the last
@@ -222,22 +229,22 @@ class Engine {
   /// `task` spanning [start, start+duration).
   void TraceFiring(int task, double start, double duration, size_t tuples);
 
-  /// Runs the instance on a batch or on due timers; routes outputs; returns
-  /// the service time charged.
+  /// Runs the instance on a delivery or on due timers; routes outputs;
+  /// returns the service time charged.
   Status ProcessOne(int task, double now);
 
   /// Starts work on `task` if it is idle and has something to do.
   void MaybeStart(int task, double now);
 
-  /// Splits outputs into per-destination sub-batches, adds the send-side
-  /// costs to *cost, and fills `deliveries_` with (delay, dest, batch).
+  /// Splits outputs into per-destination deliveries, adds the send-side
+  /// costs to *cost, and fills `deliveries_` with (delay, dest, record).
   /// Hash partitioning runs the columnar partition kernel (hash the key
   /// column once, scatter row indices, gather each destination's rows in
   /// one pass); rebalance and forward reduce to index arithmetic plus a
   /// range copy. Destination order and per-destination row order are those
-  /// of routing each row on its own, in row order. Every sub-batch carries
+  /// of routing each row on its own, in row order. Every delivery carries
   /// `sender_wm`; when `broadcast_wm` is set, destinations that received no
-  /// data still get a watermark record, a 0-byte send (Flink's periodic
+  /// data still get a record with no rows, a 0-byte send (Flink's periodic
   /// watermark emission). Deliveries go to `deliveries_` in ascending
   /// destination order per group.
   void RouteOutputs(int task, const data::Batch& outputs, double sender_wm,
@@ -266,10 +273,10 @@ class Engine {
   /// gap to source-batching (sources) or service (operators).
   void ChargeDispatch(LogicalPlan::OpId op, double completion,
                       bool is_source);
-  /// Charges `now - cursor` to network transit for a just-delivered batch.
-  void ChargeNetwork(LogicalPlan::OpId op, double now, const Batch& batch);
-  /// Charges `now - cursor` to queue wait for a just-dequeued batch.
-  void ChargeQueueWait(LogicalPlan::OpId op, double now, const Batch& batch);
+  /// Charges `now - cursor` to network transit for a just-arrived delivery.
+  void ChargeNetwork(LogicalPlan::OpId op, double now, const Delivery& d);
+  /// Charges `now - cursor` to queue wait for a just-dequeued delivery.
+  void ChargeQueueWait(LogicalPlan::OpId op, double now, const Delivery& d);
   /// Charges window/join-state residency for outputs whose cursor predates
   /// `now` (they emerged from operator state rather than this batch).
   void ChargeWindowResidency(LogicalPlan::OpId op, double now,
@@ -293,15 +300,18 @@ class Engine {
   // the pool's free lists and out_scratch_).
   std::vector<uint32_t> op_layout_id_;
   BatchPool pool_;
+  // Delivery records, with a free list threaded through Delivery::next.
+  std::vector<Delivery> records_;
+  uint32_t free_record_ = kNone;
   // Per-firing scratch, reused across firings: one output batch per
   // layout (operators and fired timers append into it), the planned
   // deliveries, per-destination row selections, and each destination's
-  // sub-batch in the group being routed (kNoBatch when untouched) with the
-  // list of touched destinations.
+  // record in the group being routed (kNone when untouched) with the list
+  // of touched destinations.
   std::vector<data::Batch> out_scratch_;
   std::vector<PlannedDelivery> deliveries_;
   std::vector<data::SelectionVector> parts_;
-  std::vector<uint32_t> dest_batch_;
+  std::vector<uint32_t> dest_record_;
   std::vector<int> touched_;
   int64_t pending_tuples_ = 0;
   int64_t events_processed_ = 0;
@@ -374,7 +384,7 @@ Status Engine::SetUpTasks() {
     out_scratch_.emplace_back(layout);
   }
   pool_ = BatchPool(std::move(layouts));
-  dest_batch_.assign(static_cast<size_t>(max_parallelism), kNoBatch);
+  dest_record_.assign(static_cast<size_t>(max_parallelism), kNone);
   Rng master(options_.seed);
   for (size_t t = 0; t < plan_.NumTasks(); ++t) {
     const PhysicalTask& pt = plan_.task(static_cast<int>(t));
@@ -448,8 +458,67 @@ void Engine::SetUpWatermarkChannels() {
   }
 }
 
-void Engine::Push(double time, EventKind kind, int task, uint32_t batch) {
-  events_.Push(time, Event{task, kind, batch});
+void Engine::Push(double time, EventKind kind, int task, uint32_t delivery) {
+  events_.Push(time, Event{task, kind, delivery});
+}
+
+uint32_t Engine::NewRecord() {
+  uint32_t id = free_record_;
+  if (id != kNone) {
+    free_record_ = records_[id].next;
+    records_[id] = Delivery{};
+  } else {
+    id = static_cast<uint32_t>(records_.size());
+    records_.emplace_back();
+  }
+  return id;
+}
+
+uint32_t Engine::NewRowsRecord(int dest_task, uint32_t layout_id,
+                               size_t rows) {
+  std::vector<std::pair<uint32_t, uint32_t>>& open =
+      tasks_[dest_task].open_chunks;
+  auto it = std::find_if(open.begin(), open.end(), [&](const auto& entry) {
+    return entry.first == layout_id;
+  });
+  if (it == open.end()) {
+    it = open.insert(open.end(), {layout_id, pool_.Acquire(layout_id)});
+  } else if (const size_t held = pool_[it->second].rows.NumRows();
+             held > 0 && held + rows > BatchPool::kKeepStorageRows) {
+    // Full: its last delivery releases it (a non-empty chunk has one).
+    pool_[it->second].open = false;
+    it->second = pool_.Acquire(layout_id);
+  }
+  Chunk& chunk = pool_[it->second];
+  ++chunk.live;
+  const uint32_t id = NewRecord();
+  Delivery& d = records_[id];
+  d.chunk = it->second;
+  d.begin = static_cast<uint32_t>(chunk.rows.NumRows());
+  d.end = static_cast<uint32_t>(d.begin + rows);
+  return id;
+}
+
+void Engine::ReleaseRecord(uint32_t id) {
+  Delivery& d = records_[id];
+  if (d.chunk != kNone) {
+    Chunk& chunk = pool_[d.chunk];
+    if (--chunk.live == 0) {
+      if (chunk.open) {
+        pool_.Empty(d.chunk);
+      } else {
+        pool_.Release(d.chunk);
+      }
+    }
+  }
+  d.next = free_record_;
+  free_record_ = id;
+}
+
+std::span<const uint32_t> Engine::AttrIds(const Delivery& d) const {
+  if (d.chunk == kNone) return {};
+  return std::span<const uint32_t>(pool_[d.chunk].rows.attr_ids())
+      .subspan(d.begin, d.rows());
 }
 
 void Engine::ApplyWatermark(TaskState* state, uint32_t slot,
@@ -549,19 +618,18 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
     const ChannelGroup& g = groups[gi];
     const int p_dest = plan_.ParallelismOf(g.to_op);
     const size_t key_field = plan_.PartitionKeyField(g.to_op, g.input_port);
-    auto sub_batch = [&](int d) -> Batch& {
-      uint32_t& id = dest_batch_[d];
-      if (id == kNoBatch) {
-        id = pool_.Acquire(layout_id);
-        pool_[id].input_port = g.input_port;
-        touched_.push_back(d);
-      }
-      return pool_[id];
+    // Destination d's rows, `rows` of them, go to the chunk this returns.
+    auto rows_for = [&](int d, size_t rows) -> data::Batch& {
+      const uint32_t id =
+          NewRowsRecord(plan_.TaskId(g.to_op, d), layout_id, rows);
+      dest_record_[d] = id;
+      touched_.push_back(d);
+      return pool_[records_[id].chunk].rows;
     };
     if (n > 0) {
       switch (g.mode) {
         case Partitioning::kForward:
-          sub_batch(pt.instance).rows.AppendRange(outputs, 0, n);
+          rows_for(pt.instance, n).AppendRange(outputs, 0, n);
           break;
         case Partitioning::kRebalance: {
           // Row i goes to (cursor + i) % p: per-row round robin, batched.
@@ -578,7 +646,7 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
           }
           for (int d = 0; d < p_dest; ++d) {
             if (parts_[d].empty()) continue;
-            sub_batch(d).rows.AppendGather(outputs, parts_[d]);
+            rows_for(d, parts_[d].size()).AppendGather(outputs, parts_[d]);
           }
           break;
         }
@@ -596,7 +664,7 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
           kernels::Partition(outputs, 0, n, f, p_dest, &parts_);
           for (int d = 0; d < p_dest; ++d) {
             if (parts_[d].empty()) continue;
-            sub_batch(d).rows.AppendGather(outputs, parts_[d]);
+            rows_for(d, parts_[d].size()).AppendGather(outputs, parts_[d]);
           }
           break;
         }
@@ -604,12 +672,12 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
     }
     if (broadcast_wm) {
       // Every destination hears this round's watermark: those with no data
-      // get a watermark record. Data destinations were touched first, so
+      // get a record with no rows. Data destinations were touched first, so
       // the list is rebuilt in ascending order.
       touched_.clear();
       for (int d = 0; d < p_dest; ++d) {
         if (g.mode == Partitioning::kForward && d != pt.instance) continue;
-        if (dest_batch_[d] == kNoBatch) dest_batch_[d] = pool_.AcquireWm();
+        if (dest_record_[d] == kNone) dest_record_[d] = NewRecord();
         touched_.push_back(d);
       }
     }
@@ -620,21 +688,14 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
         wm_route.base +
         (wm_route.wide ? static_cast<uint32_t>(pt.instance) : 0u);
     for (const int d : touched_) {
-      const uint32_t id = dest_batch_[d];
-      dest_batch_[d] = kNoBatch;
-      const bool wm_only = BatchPool::IsWm(id);
-      size_t sub_rows = 0;
-      if (wm_only) {
-        WmRecord& rec = pool_.wm(id);
-        rec.wm_slot = wm_slot;
-        rec.watermark = sender_wm;
-      } else {
-        Batch& sub = pool_[id];
-        sub.wm_slot = wm_slot;
-        sub.watermark = sender_wm;
-        sub.chained = chained;
-        sub_rows = sub.rows.NumRows();
-      }
+      const uint32_t id = dest_record_[d];
+      dest_record_[d] = kNone;
+      Delivery& rec = records_[id];
+      rec.input_port = g.input_port;
+      rec.chained = chained;
+      rec.wm_slot = wm_slot;
+      rec.watermark = sender_wm;
+      const size_t sub_rows = rec.rows();
       const int dest_task = plan_.TaskId(g.to_op, d);
       const int dest_node = placement_.node_of_task[dest_task];
       state.tuples_out += static_cast<int64_t>(sub_rows);
@@ -648,9 +709,11 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
       if (dest_node == src_node) {
         delay = costs_.local_handoff_latency;
       } else {
-        // A watermark record is a 0-byte send.
+        // A record with no rows is a 0-byte send.
         const size_t bytes =
-            wm_only ? 0 : pool_[id].rows.WireSize(0, sub_rows);
+            sub_rows == 0
+                ? 0
+                : pool_[rec.chunk].rows.WireSize(rec.begin, rec.end);
         *cost += static_cast<double>(bytes) *
                  costs_.serialization_cost_per_byte;
         delay = cluster_.LinkLatencySeconds(src_node, dest_node) +
@@ -665,10 +728,8 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
 
 void Engine::DispatchDeliveries(double completion) {
   for (const PlannedDelivery& d : deliveries_) {
-    if (!BatchPool::IsWm(d.batch)) {
-      pending_tuples_ += static_cast<int64_t>(pool_[d.batch].rows.NumRows());
-    }
-    Push(completion + d.delay, EventKind::kDelivery, d.dest_task, d.batch);
+    pending_tuples_ += static_cast<int64_t>(records_[d.delivery].rows());
+    Push(completion + d.delay, EventKind::kDelivery, d.dest_task, d.delivery);
   }
   deliveries_.clear();
   // Source backpressure caps generation, but mid-pipeline amplification
@@ -693,8 +754,7 @@ void Engine::ChargeDispatch(LogicalPlan::OpId op, double completion,
                             bool is_source) {
   OperatorLatencyStats& acc = op_latency_[op];
   for (const PlannedDelivery& d : deliveries_) {
-    if (BatchPool::IsWm(d.batch)) continue;  // no rows to charge
-    for (uint32_t attr : pool_[d.batch].rows.attr_ids()) {
+    for (uint32_t attr : AttrIds(records_[d.delivery])) {
       if (attr == kNoAttr) continue;
       LatencyAttr& a = attr_pool_[attr];
       const double delta = completion - a.accounted_until;
@@ -713,9 +773,9 @@ void Engine::ChargeDispatch(LogicalPlan::OpId op, double completion,
 }
 
 void Engine::ChargeNetwork(LogicalPlan::OpId op, double now,
-                           const Batch& batch) {
+                           const Delivery& d) {
   OperatorLatencyStats& acc = op_latency_[op];
-  for (uint32_t attr : batch.rows.attr_ids()) {
+  for (uint32_t attr : AttrIds(d)) {
     if (attr == kNoAttr) continue;
     LatencyAttr& a = attr_pool_[attr];
     const double delta = now - a.accounted_until;
@@ -727,9 +787,9 @@ void Engine::ChargeNetwork(LogicalPlan::OpId op, double now,
 }
 
 void Engine::ChargeQueueWait(LogicalPlan::OpId op, double now,
-                             const Batch& batch) {
+                             const Delivery& d) {
   OperatorLatencyStats& acc = op_latency_[op];
-  for (uint32_t attr : batch.rows.attr_ids()) {
+  for (uint32_t attr : AttrIds(d)) {
     if (attr == kNoAttr) continue;
     LatencyAttr& a = attr_pool_[attr];
     const double delta = now - a.accounted_until;
@@ -853,38 +913,38 @@ Status Engine::ProcessOne(int task, double now) {
     obs::prof::ProfScope kernel_scope(obs::prof::FrameKind::kKernel,
                                       kernel_process_id_);
     const uint32_t id = state.queue_head;
-    state.queue_head = pool_.next(id);
-    if (BatchPool::IsWm(id)) {
-      const WmRecord& rec = pool_.wm(id);
+    const Delivery& d = records_[id];
+    state.queue_head = d.next;
+    const size_t rows = d.rows();
+    if (rows == 0) {
       cost = costs_.wm_batch_cost;
-      ApplyWatermark(&state, rec.wm_slot, rec.watermark);
-      pool_.ReleaseWm(id);
     } else {
-      const Batch& batch = pool_[id];
-      // Every data sub-batch carries rows; 0-row deliveries are records.
-      const size_t rows = batch.rows.NumRows();
       in_tuples = rows;
       state.queued_tuples -= rows;
       pending_tuples_ -= static_cast<int64_t>(rows);
       state.tuples_in += static_cast<int64_t>(rows);
-      if (attribute_) ChargeQueueWait(pt.op, now, batch);
-      cost = (batch.chained ? 0.0 : costs_.BatchCost(op)) +
+      if (attribute_) ChargeQueueWait(pt.op, now, d);
+      cost = (d.chained ? 0.0 : costs_.BatchCost(op)) +
              static_cast<double>(rows) * costs_.InputTupleCost(op);
       ctr_data_batches_->Add(1);
       ctr_data_rows_->Add(static_cast<int64_t>(rows));
-      // Vectorized kernels run over chunks of at most batch_rows rows; the
-      // chunking is invisible in virtual time (same `now`, same cost model)
-      // and in results (kernels preserve row order and RNG draw order).
-      const auto chunk =
+      // Vectorized kernels run over pieces of at most batch_rows rows of the
+      // delivery's range; the split is invisible in virtual time (same
+      // `now`, same cost model) and in results (kernels preserve row order
+      // and RNG draw order).
+      const auto step =
           static_cast<size_t>(std::max<int64_t>(1, options_.batch_rows));
-      for (size_t begin = 0; begin < rows; begin += chunk) {
+      const data::Batch& batch = pool_[d.chunk].rows;
+      // A chunk is emptied only after its last delivery is processed.
+      assert(d.end <= batch.NumRows());
+      for (size_t begin = d.begin; begin < d.end; begin += step) {
         PDSP_RETURN_NOT_OK(state.instance->ProcessBatch(
-            batch.rows, begin, std::min(rows, begin + chunk),
-            batch.input_port, now, &outputs));
+            batch, begin, std::min<size_t>(d.end, begin + step),
+            d.input_port, now, &outputs));
       }
-      ApplyWatermark(&state, batch.wm_slot, batch.watermark);
-      pool_.Release(id);
     }
+    ApplyWatermark(&state, d.wm_slot, d.watermark);
+    ReleaseRecord(id);
   }
   if (outputs.promotions() > 0) {
     ctr_data_promotions_->Add(static_cast<int64_t>(outputs.promotions()));
@@ -959,7 +1019,7 @@ void Engine::MaybeStart(int task, double now) {
   if (state.busy_until > now) return;     // completion event will re-enter
   const double next_timer = state.instance->NextTimerTime();
   const bool timer_due = next_timer < kInf && next_timer <= state.input_wm;
-  if (state.queue_head == kNoBatch && !timer_due) return;
+  if (state.queue_head == kNone && !timer_due) return;
   // Errors here indicate plan/runtime inconsistencies; they are surfaced via
   // the run loop's status.
   Status st = ProcessOne(task, now);
@@ -1030,23 +1090,23 @@ Result<SimResult> Engine::Run() {
           EmitSourceBatch(e.task, time);
           break;
         case EventKind::kDelivery: {
-          if (BatchPool::IsWm(e.batch)) {
+          Delivery& d = records_[e.delivery];
+          if (d.rows() == 0) {
             ++event_counts_.wm_delivery;
           } else {
-            const Batch& batch = pool_[e.batch];
             ++event_counts_.delivery;
-            if (attribute_) ChargeNetwork(plan_.task(e.task).op, time, batch);
-            state.queued_tuples += batch.rows.NumRows();
+            if (attribute_) ChargeNetwork(plan_.task(e.task).op, time, d);
+            state.queued_tuples += d.rows();
             state.max_queue_tuples =
                 std::max(state.max_queue_tuples, state.queued_tuples);
           }
-          pool_.next(e.batch) = kNoBatch;
-          if (state.queue_head == kNoBatch) {
-            state.queue_head = e.batch;
+          d.next = kNone;
+          if (state.queue_head == kNone) {
+            state.queue_head = e.delivery;
           } else {
-            pool_.next(state.queue_tail) = e.batch;
+            records_[state.queue_tail].next = e.delivery;
           }
-          state.queue_tail = e.batch;
+          state.queue_tail = e.delivery;
           MaybeStart(e.task, time);
           break;
         }

@@ -158,7 +158,7 @@ struct LatencyBreakdown {
 /// SimResult::events_processed.
 struct SimEventCounts {
   int64_t source_batch = 0;  ///< a source emitting one interval's batch
-  int64_t delivery = 0;      ///< a sub-batch with rows reaching its receiver
+  int64_t delivery = 0;      ///< a delivery with rows reaching its receiver
   int64_t wm_delivery = 0;   ///< a watermark-only delivery (no rows)
   int64_t ready = 0;         ///< a task finishing a firing
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -180,6 +181,33 @@ TEST(BatchTest, MovesHandOverTheInternTable) {
   }
   EXPECT_EQ(a.StringData(0)[199].data(), a.StringData(0)[19].data());
   EXPECT_EQ(a.StringData(0)[199], DictionaryWord(19));
+}
+
+// Clear keeps the arena's storage for reuse: in a batch whose strings fit
+// in its first chunk, the first string after Clear lands where the first
+// string before it did. A block of the first chunk's size is allocated in
+// between: had Clear freed the chunk, the allocator would typically hand it
+// to that block, and the arena's next chunk would land elsewhere.
+TEST(BatchTest, ClearKeepsTheArenaChunk) {
+  data::Batch b(data::BatchLayout({DataType::kString}));
+  for (const char* word : {"alpha", "beta", "alpha"}) {
+    b.AppendString(0, word);
+    b.FinishRow(0.0, 0.0, kNoAttr);
+  }
+  const char* first = b.StringData(0)[0].data();
+  b.Clear();
+  EXPECT_EQ(b.ArenaBytes(), 0u);
+  const auto other = std::make_unique<char[]>(256);
+  EXPECT_NE(other.get(), first);
+  for (const char* word : {"gamma", "alpha", "gamma"}) {
+    b.AppendString(0, word);
+    b.FinishRow(0.0, 0.0, kNoAttr);
+  }
+  EXPECT_EQ(b.StringData(0)[0].data(), first);
+  EXPECT_EQ(b.StringData(0)[0], "gamma");
+  EXPECT_EQ(b.StringData(0)[1], "alpha");
+  EXPECT_EQ(b.StringData(0)[2].data(), first);
+  EXPECT_EQ(b.ArenaBytes(), 10u);
 }
 
 TEST(BatchTest, StringAtReadsTypedAndPromotedCellsInPlace) {

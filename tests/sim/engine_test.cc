@@ -8,6 +8,7 @@
 
 #include <string>
 
+#include "src/apps/apps.h"
 #include "src/harness/synthetic_suite.h"
 #include "src/query/builder.h"
 #include "src/sim/simulation.h"
@@ -85,6 +86,51 @@ TEST(EngineTest, AttributedFanOutResultsArePinned) {
   EXPECT_EQ(bd.queue_s, 0.0010683163776005005);
   EXPECT_EQ(bd.service_s, 0.00075926096400006369);
   EXPECT_EQ(bd.window_s, 0.98569069485519911);
+}
+
+// WC at p=64 and 100k ev/s with attribution on: tokenize's words fan out
+// to 64 word_counts instances in deliveries of one to three string rows,
+// and the hottest word's instance queues over 20,000 of those rows at once,
+// so every charge point and every text row runs on deliveries that share
+// their receiver's pooled batches.
+TEST(EngineTest, BackloggedWordCountFanOutIsPinned) {
+  AppOptions app;
+  app.event_rate = 100e3;
+  app.parallelism = 64;
+  auto plan = MakeApp(AppId::kWordCount, app);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ExecutionOptions opt;
+  opt.sim.duration_s = 0.2;
+  opt.sim.warmup_s = 0.05;
+  opt.sim.seed = 42;
+  opt.sim.attribute_latency = true;
+  auto r = ExecutePlan(*plan, Cluster::M510(10), opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  const SimEventCounts& c = r->event_counts;
+  EXPECT_EQ(r->events_processed, 435568);
+  EXPECT_EQ(c.source_batch, 2560);
+  EXPECT_EQ(c.delivery, 178286);
+  EXPECT_EQ(c.wm_delivery, 38186);
+  EXPECT_EQ(c.ready, 216536);
+  EXPECT_EQ(r->sink_tuples, 15093);
+  EXPECT_EQ(r->median_latency_s, 0.39432690082143507);
+  EXPECT_EQ(r->p95_latency_s, 1.3304601342324203);
+  EXPECT_EQ(r->p99_latency_s, 3.129585394460273);
+  EXPECT_EQ(r->mean_latency_s, 0.51729729985054662);
+  const LatencyBreakdown& bd = r->breakdown;
+  EXPECT_EQ(bd.source_batch_s, 0.0030860839145379479);
+  EXPECT_EQ(bd.network_s, 0.00055983948423112451);
+  EXPECT_EQ(bd.queue_s, 0.23411259505270193);
+  EXPECT_EQ(bd.service_s, 0.009852111800533447);
+  EXPECT_EQ(bd.window_s, 0.26968666959854243);
+  const OperatorRunStats* counts = nullptr;
+  for (const OperatorRunStats& s : r->op_stats) {
+    if (s.name == "word_counts") counts = &s;
+  }
+  ASSERT_NE(counts, nullptr);
+  EXPECT_EQ(counts->max_queue_tuples, 21378u);
+  EXPECT_EQ(counts->tuples_in, 179566);
 }
 
 struct Pinned {

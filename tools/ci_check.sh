@@ -14,9 +14,9 @@
 #                   build tree.
 #   PDSP_SKIP_TSAN  set to 1 to skip the ThreadSanitizer pass over the
 #                   concurrency-sensitive suites (exec/sim/obs/harness).
-#   PDSP_SKIP_UBSAN set to 1 to skip the UndefinedBehaviorSanitizer pass
-#                   over the analysis/sim/exec/property/runtime/data/apps
-#                   suites.
+#   PDSP_SKIP_UBSAN set to 1 to skip the AddressSanitizer + UndefinedBehavior-
+#                   Sanitizer pass over the analysis/sim/exec/property/
+#                   runtime/data/apps suites.
 #   JOBS            parallel build jobs (default: nproc).
 
 set -eu
@@ -95,23 +95,27 @@ if [ "${PDSP_SKIP_TSAN:-0}" != "1" ]; then
 fi
 
 if [ "${PDSP_SKIP_UBSAN:-0}" != "1" ]; then
-  step "UndefinedBehaviorSanitizer pass (analysis/sim/exec/property/runtime/data/apps suites)"
+  step "AddressSanitizer + UBSan pass (analysis/sim/exec/property/runtime/data/apps suites)"
   # The dataflow analyses lean on floating-point interval arithmetic
   # (widening multiplications, infinity-valued fallbacks, rate/capacity
   # divisions), the simulator on integer event accounting, the keyed
   # operator state and the join's row chains on slot mask and index
   # arithmetic, and the batch intern table on 32-bit hash, length and
   # mask arithmetic — exactly the code UBSan's float-cast/overflow/shift
-  # checks exercise. Same separate-tree rationale as the TSan block above.
+  # checks exercise. ASan watches the engine's chunks: a receiver's chunk
+  # is read by every delivery that names a row range of it while later
+  # deliveries append to it (moving its columns), and is emptied, rebuilt
+  # or returned to the pool after the last one, so a stale view into it is
+  # a use-after-free. Same separate-tree rationale as the TSan block above.
   UBSAN_DIR="${BUILD_DIR}-ubsan"
   cmake -B "$UBSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DPDSP_SANITIZE=undefined
+        -DPDSP_SANITIZE="address;undefined"
   cmake --build "$UBSAN_DIR" -j "$JOBS" \
         --target analysis_test sim_test exec_test property_test runtime_test \
                  data_test apps_test
   for t in analysis_test sim_test exec_test property_test runtime_test \
            data_test apps_test; do
-    echo "--- ubsan: $t ---"
+    echo "--- asan+ubsan: $t ---"
     UBSAN_OPTIONS=halt_on_error=1 "$UBSAN_DIR/tests/$t"
   done
 fi
