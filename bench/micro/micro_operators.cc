@@ -13,6 +13,7 @@
 #include "src/apps/apps.h"
 #include "src/data/batch.h"
 #include "src/data/generator.h"
+#include "src/harness/synthetic_suite.h"
 #include "src/query/batch_layout.h"
 #include "src/runtime/kernels.h"
 #include "src/runtime/operators.h"
@@ -205,6 +206,41 @@ void BM_UdoMapMatch(benchmark::State& state) {
          {Value(1), Value(48.51), Value(8.52), Value(88.0)});
 }
 BENCHMARK(BM_UdoMapMatch);
+
+// The source layer's per-tuple cost: TupleGenerator::AppendNext on three
+// benchmark streams; items are tuples.
+//   0: the canonical aggregate stream, Zipf(1000, 0.4) keys
+//   1: WC's sentences, 6-12 words of Zipf(20000, 1.05)
+//   2: the 800k-key join stream, Zipf(800000, 0.4) keys, most of them past
+//      the Zipf table's 2^16 ranks
+StreamSpec GeneratorStream(int64_t which) {
+  if (which == 1) {
+    return MakeApp(AppId::kWordCount, AppOptions{})->sources()[0].stream;
+  }
+  CanonicalOptions opt;
+  opt.event_rate = 200e3;  // 800k join keys over the 1 s window
+  const SyntheticStructure structure = which == 0
+                                           ? SyntheticStructure::kAggregation
+                                           : SyntheticStructure::kTwoWayJoin;
+  return MakeCanonicalSynthetic(structure, opt)->sources()[0].stream;
+}
+
+void BM_GeneratorAppendNext(benchmark::State& state) {
+  const StreamSpec stream = GeneratorStream(state.range(0));
+  TupleGenerator gen =
+      TupleGenerator::Create(stream.schema, stream.specs, 42).value();
+  data::Batch out(LayoutForSchema(stream.schema));
+  benchmark::DoNotOptimize(&out);
+  double t = 0.0;
+  for (auto _ : state) {
+    gen.AppendNext(t, t, kNoAttr, &out);
+    benchmark::ClobberMemory();
+    t += 1e-6;
+    if (out.NumRows() == 1024) out.Clear();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GeneratorAppendNext)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_ValueHash(benchmark::State& state) {
   Rng rng(1);

@@ -1,7 +1,12 @@
 #include "src/common/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <utility>
+
+#include "src/common/thread_annotations.h"
 
 namespace pdsp {
 
@@ -120,29 +125,99 @@ double ZipfHInv(double x, double ss, double s) {
   return std::exp(std::log(ss * x) / ss);
 }
 
+// Rank k's acceptance threshold H(k + 0.5) - k^-s. Tables store exactly
+// this double, so a stored threshold equals the computed one bit for bit.
+double ZipfThreshold(int64_t k, const ZipfConstants& z) {
+  const double kd = static_cast<double>(k);
+  return ZipfH(kd + 0.5, z.ss, z.s) - std::exp(-z.s * std::log(kd));
+}
+
+bool ZipfIsUniform(const ZipfConstants& z) { return z.n <= 1 || z.s <= 0.0; }
+
 }  // namespace
 
+ZipfConstants ZipfConstants::For(int64_t n, double s) {
+  ZipfConstants z;
+  z.n = n;
+  z.s = s;
+  if (ZipfIsUniform(z)) return z;
+  z.ss = (s == 1.0) ? 0.0 : 1.0 - s;
+  z.h_x1 = ZipfH(1.5, z.ss, s) - 1.0;
+  z.hx0 = ZipfH(static_cast<double>(n) + 0.5, z.ss, s);
+  return z;
+}
+
 int64_t Rng::Zipf(int64_t n, double s) {
-  if (n <= 1) return 1;
-  if (s <= 0.0) return UniformInt(1, n);
-  if (n != zipf_n_ || s != zipf_s_) {
-    zipf_n_ = n;
-    zipf_s_ = s;
-    zipf_ss_ = (s == 1.0) ? 0.0 : 1.0 - s;
-    zipf_h_x1_ = ZipfH(1.5, zipf_ss_, s) - 1.0;
-    zipf_hx0_ = ZipfH(static_cast<double>(n) + 0.5, zipf_ss_, s);
-  }
-  const double s_ = zipf_s_;
+  if (n != zipf_.n || s != zipf_.s) zipf_ = ZipfConstants::For(n, s);
+  return ZipfDraw(zipf_, {});
+}
+
+int64_t Rng::Zipf(const ZipfTable& table) {
+  return ZipfDraw(table.constants_, table.thresholds_);
+}
+
+int64_t Rng::ZipfDraw(const ZipfConstants& z,
+                      std::span<const double> thresholds) {
+  if (z.n <= 1) return 1;
+  if (z.s <= 0.0) return UniformInt(1, z.n);
   for (;;) {
-    const double u = zipf_h_x1_ + NextDouble() * (zipf_hx0_ - zipf_h_x1_);
-    const double x = ZipfHInv(u, zipf_ss_, s_);
+    const double u = z.h_x1 + NextDouble() * (z.hx0 - z.h_x1);
+    const double x = ZipfHInv(u, z.ss, z.s);
     int64_t k = static_cast<int64_t>(x + 0.5);
-    k = std::clamp<int64_t>(k, 1, n);
-    const double kd = static_cast<double>(k);
-    if (u >= ZipfH(kd + 0.5, zipf_ss_, s_) - std::exp(-s_ * std::log(kd))) {
-      return k;
+    k = std::clamp<int64_t>(k, 1, z.n);
+    const double threshold = static_cast<size_t>(k) <= thresholds.size()
+                                 ? thresholds[static_cast<size_t>(k - 1)]
+                                 : ZipfThreshold(k, z);
+    if (u >= threshold) return k;
+  }
+}
+
+ZipfTable::ZipfTable(int64_t n, double s)
+    : constants_(ZipfConstants::For(n, s)) {
+  if (ZipfIsUniform(constants_)) return;
+  thresholds_.resize(static_cast<size_t>(std::min(n, kMaxRanks)));
+  for (size_t i = 0; i < thresholds_.size(); ++i) {
+    thresholds_[i] = ZipfThreshold(static_cast<int64_t>(i) + 1, constants_);
+  }
+}
+
+namespace {
+
+// Live tables by the bits of (n, s). Entries are weak, so the registry
+// never keeps a table alive; expired entries are swept at each insert.
+struct ZipfRegistry {
+  Mutex mu;
+  std::map<std::pair<int64_t, uint64_t>, std::weak_ptr<const ZipfTable>>
+      tables PDSP_GUARDED_BY(mu);
+};
+
+ZipfRegistry& GlobalZipfTables() {
+  static ZipfRegistry* registry = new ZipfRegistry();
+  return *registry;
+}
+
+}  // namespace
+
+std::shared_ptr<const ZipfTable> ZipfTable::Acquire(int64_t n, double s) {
+  ZipfRegistry& registry = GlobalZipfTables();
+  const std::pair<int64_t, uint64_t> key(n, std::bit_cast<uint64_t>(s));
+  {
+    MutexLock lock(registry.mu);
+    const auto it = registry.tables.find(key);
+    if (it != registry.tables.end()) {
+      if (auto table = it->second.lock()) return table;
     }
   }
+  // Two threads that miss together both build; the first insert wins and
+  // the other's table is dropped, so every holder shares one.
+  std::shared_ptr<const ZipfTable> built = std::make_shared<ZipfTable>(n, s);
+  MutexLock lock(registry.mu);
+  std::erase_if(registry.tables,
+                [](const auto& entry) { return entry.second.expired(); });
+  std::weak_ptr<const ZipfTable>& slot = registry.tables[key];
+  if (auto table = slot.lock()) return table;
+  slot = built;
+  return built;
 }
 
 size_t Rng::WeightedIndex(const std::vector<double>& weights) {

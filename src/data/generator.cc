@@ -61,6 +61,13 @@ Result<TupleGenerator> TupleGenerator::Create(
           DataTypeToString(schema.field(i).type),
           DataTypeToString(specs[i].OutputType())));
     }
+    // A non-finite bound or exponent has no meaningful draw: a NaN or
+    // +inf zipf_s makes the Zipf sampler reject forever.
+    if (!std::isfinite(specs[i].min) || !std::isfinite(specs[i].max) ||
+        !std::isfinite(specs[i].zipf_s)) {
+      return Status::InvalidArgument(
+          StrFormat("field %zu: min, max and zipf_s must be finite", i));
+    }
     if (specs[i].min > specs[i].max) {
       return Status::InvalidArgument(
           StrFormat("field %zu: min > max", i));
@@ -71,6 +78,26 @@ Result<TupleGenerator> TupleGenerator::Create(
     }
   }
   return TupleGenerator(std::move(schema), std::move(specs), seed);
+}
+
+TupleGenerator::TupleGenerator(Schema schema,
+                               std::vector<FieldGeneratorSpec> specs,
+                               uint64_t seed)
+    : schema_(std::move(schema)),
+      specs_(std::move(specs)),
+      rng_(seed),
+      zipf_(specs_.size()) {
+  for (size_t i = 0; i < specs_.size(); ++i) {
+    switch (specs_[i].dist) {
+      case FieldDistribution::kZipfKey:
+      case FieldDistribution::kWordString:
+      case FieldDistribution::kSentence:
+        zipf_[i] = ZipfTable::Acquire(specs_[i].cardinality, specs_[i].zipf_s);
+        break;
+      default:
+        break;
+    }
+  }
 }
 
 Value TupleGenerator::GenerateField(const FieldGeneratorSpec& spec,
@@ -87,11 +114,11 @@ Value TupleGenerator::GenerateField(const FieldGeneratorSpec& spec,
       return std::clamp(rng_.Normal(mean, sd), spec.min, spec.max);
     }
     case FieldDistribution::kZipfKey:
-      return rng_.Zipf(spec.cardinality, spec.zipf_s);
+      return rng_.Zipf(*zipf_[field_idx]);
     case FieldDistribution::kUniformKey:
       return rng_.UniformInt(1, spec.cardinality);
     case FieldDistribution::kWordString:
-      return DictionaryWord(rng_.Zipf(spec.cardinality, spec.zipf_s) - 1);
+      return DictionaryWord(rng_.Zipf(*zipf_[field_idx]) - 1);
     case FieldDistribution::kSentence: {
       const auto words = rng_.UniformInt(
           std::max<int64_t>(1, static_cast<int64_t>(spec.min)),
@@ -99,7 +126,7 @@ Value TupleGenerator::GenerateField(const FieldGeneratorSpec& spec,
       std::string sentence;
       for (int64_t w = 0; w < words; ++w) {
         if (w > 0) sentence += ' ';
-        sentence += DictionaryWord(rng_.Zipf(spec.cardinality, spec.zipf_s) - 1);
+        sentence += DictionaryWord(rng_.Zipf(*zipf_[field_idx]) - 1);
       }
       return sentence;
     }
@@ -137,7 +164,7 @@ void TupleGenerator::AppendNext(double event_time, double birth,
         break;
       }
       case FieldDistribution::kZipfKey:
-        out->AppendInt(i, rng_.Zipf(spec.cardinality, spec.zipf_s));
+        out->AppendInt(i, rng_.Zipf(*zipf_[i]));
         break;
       case FieldDistribution::kUniformKey:
         out->AppendInt(i, rng_.UniformInt(1, spec.cardinality));

@@ -7,6 +7,7 @@
 #define PDSP_DATA_GENERATOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,9 +45,12 @@ struct FieldGeneratorSpec {
 };
 
 /// \brief Generates tuples conforming to a schema, one field spec per field.
+/// Zipf-drawn fields (keys, words, sentence words) draw through the shared
+/// ZipfTable of their (cardinality, zipf_s), which the generator holds.
 class TupleGenerator {
  public:
-  /// Validates that specs match the schema's arity and types.
+  /// Validates that specs match the schema's arity and types and that every
+  /// min, max and zipf_s is finite, then acquires the Zipf tables.
   static Result<TupleGenerator> Create(Schema schema,
                                        std::vector<FieldGeneratorSpec> specs,
                                        uint64_t seed);
@@ -67,14 +71,15 @@ class TupleGenerator {
 
  private:
   TupleGenerator(Schema schema, std::vector<FieldGeneratorSpec> specs,
-                 uint64_t seed)
-      : schema_(std::move(schema)), specs_(std::move(specs)), rng_(seed) {}
+                 uint64_t seed);
 
   Value GenerateField(const FieldGeneratorSpec& spec, size_t field_idx);
 
   Schema schema_;
   std::vector<FieldGeneratorSpec> specs_;
   Rng rng_;
+  /// Per field: its Zipf table, or null for fields that draw no Zipf ranks.
+  std::vector<std::shared_ptr<const ZipfTable>> zipf_;
   std::vector<int64_t> sequence_counters_ = std::vector<int64_t>(32, 0);
 };
 

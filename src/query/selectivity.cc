@@ -1,9 +1,13 @@
 #include "src/query/selectivity.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <map>
 
 #include "src/common/string_util.h"
+#include "src/common/thread_annotations.h"
 
 namespace pdsp {
 
@@ -80,10 +84,40 @@ bool IsDiscrete(const FieldGeneratorSpec& spec) {
   }
 }
 
-}  // namespace
+// A process-wide memo of one set-up sum, keyed by the exact bits of its
+// inputs so NaN and -0.0 keys are well defined. The lock guards only the
+// map: two threads that miss one key both compute it, which is harmless
+// because both get the same double. Cleared when full.
+template <size_t N>
+class SumMemo {
+ public:
+  using Key = std::array<uint64_t, N>;
 
-double GeneralizedHarmonic(int64_t n, double s) {
-  if (n <= 0) return 0.0;
+  template <typename Compute>
+  double Get(const Key& key, Compute compute) PDSP_EXCLUDES(mu_) {
+    {
+      MutexLock lock(mu_);
+      const auto it = sums_.find(key);
+      if (it != sums_.end()) return it->second;
+    }
+    const double sum = compute();
+    MutexLock lock(mu_);
+    if (sums_.size() >= kCapacity) sums_.clear();
+    sums_.emplace(key, sum);
+    return sum;
+  }
+
+ private:
+  static constexpr size_t kCapacity = 4096;
+
+  Mutex mu_;
+  std::map<Key, double> sums_ PDSP_GUARDED_BY(mu_);
+};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+uint64_t Bits(int64_t v) { return static_cast<uint64_t>(v); }
+
+double HarmonicSum(int64_t n, double s) {
   const int64_t exact_terms = std::min<int64_t>(n, 100000);
   double sum = 0.0;
   for (int64_t k = 1; k <= exact_terms; ++k) {
@@ -100,6 +134,14 @@ double GeneralizedHarmonic(int64_t n, double s) {
     }
   }
   return sum;
+}
+
+}  // namespace
+
+double GeneralizedHarmonic(int64_t n, double s) {
+  if (n <= 0) return 0.0;
+  static SumMemo<2>* memo = new SumMemo<2>();
+  return memo->Get({Bits(n), Bits(s)}, [&] { return HarmonicSum(n, s); });
 }
 
 double ZipfCdf(int64_t k, int64_t n, double s) {
@@ -143,10 +185,8 @@ int64_t KeyCardinality(const FieldGeneratorSpec& spec) {
   }
 }
 
-}  // namespace
-
-double KeyMatchProbability(const FieldGeneratorSpec& left,
-                           const FieldGeneratorSpec& right) {
+double KeyMatchSum(const FieldGeneratorSpec& left,
+                   const FieldGeneratorSpec& right) {
   const int64_t n_l = KeyCardinality(left);
   const int64_t n_r = KeyCardinality(right);
   if (n_l < 1 || n_r < 1) {
@@ -178,6 +218,20 @@ double KeyMatchProbability(const FieldGeneratorSpec& left,
             KeyMass(right, exact, h_r);
   }
   return std::clamp(prob, 0.0, 1.0);
+}
+
+}  // namespace
+
+double KeyMatchProbability(const FieldGeneratorSpec& left,
+                           const FieldGeneratorSpec& right) {
+  static SumMemo<10>* memo = new SumMemo<10>();
+  const SumMemo<10>::Key key = {
+      static_cast<uint64_t>(left.dist),  Bits(left.cardinality),
+      Bits(left.zipf_s),                 Bits(left.min),
+      Bits(left.max),                    static_cast<uint64_t>(right.dist),
+      Bits(right.cardinality),           Bits(right.zipf_s),
+      Bits(right.min),                   Bits(right.max)};
+  return memo->Get(key, [&] { return KeyMatchSum(left, right); });
 }
 
 Result<double> EstimateFilterSelectivity(const FieldGeneratorSpec& spec,

@@ -42,14 +42,17 @@ Result<FieldGeneratorSpec> ResolveFieldSpec(const LogicalPlan& plan,
 /// provenance cannot be resolved get the neutral default 0.5.
 Status AnnotateFilterSelectivities(LogicalPlan* plan);
 
-/// Harmonic-like normalizer sum_{k=1..n} k^-s (exact below 1e6 terms via
-/// partial evaluation + integral tail; used for Zipf point masses).
+/// Harmonic-like normalizer sum_{k=1..n} k^-s (used for Zipf point masses):
+/// the first 100,000 terms summed exactly, the rest by the integral tail
+/// ∫_{100000.5}^{n+0.5} x^-s dx. Memoized for the process by the bits of
+/// (n, s); the memo returns the double the summation gives.
 double GeneralizedHarmonic(int64_t n, double s);
 
 /// P(K_l == K_r) for two independent key draws — the per-pair equi-join
 /// match probability. Skew matters: for Zipf keys this is sum_k p(k)^2,
 /// far above the uniform 1/n. Falls back to 1/max(distinct) when a spec's
-/// key distribution is not recognizably discrete.
+/// key distribution is not recognizably discrete. Memoized for the process
+/// by the bits of each spec's dist, cardinality, zipf_s, min and max.
 double KeyMatchProbability(const FieldGeneratorSpec& left,
                            const FieldGeneratorSpec& right);
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <memory>
+#include <thread>
 #include <vector>
 
 namespace pdsp {
@@ -166,6 +170,101 @@ TEST(RngTest, ZipfDegenerateN) {
   Rng rng(1);
   EXPECT_EQ(rng.Zipf(1, 1.5), 1);
   EXPECT_EQ(rng.Zipf(0, 1.5), 1);
+}
+
+// Rng::Zipf as it was before tables existed, kept verbatim as the
+// reference (its per-Rng cache only ever held these constants).
+double ReferenceZipfH(double x, double ss, double s) {
+  if (s == 1.0) return std::log(x);
+  return std::exp(ss * std::log(x)) / ss;
+}
+
+double ReferenceZipfHInv(double x, double ss, double s) {
+  if (s == 1.0) return std::exp(x);
+  return std::exp(std::log(ss * x) / ss);
+}
+
+int64_t ReferenceZipf(Rng* rng, int64_t n, double s) {
+  if (n <= 1) return 1;
+  if (s <= 0.0) return rng->UniformInt(1, n);
+  const double ss = (s == 1.0) ? 0.0 : 1.0 - s;
+  const double h_x1 = ReferenceZipfH(1.5, ss, s) - 1.0;
+  const double hx0 = ReferenceZipfH(static_cast<double>(n) + 0.5, ss, s);
+  for (;;) {
+    const double u = h_x1 + rng->NextDouble() * (hx0 - h_x1);
+    const double x = ReferenceZipfHInv(u, ss, s);
+    int64_t k = static_cast<int64_t>(x + 0.5);
+    k = std::clamp<int64_t>(k, 1, n);
+    const double kd = static_cast<double>(k);
+    if (u >= ReferenceZipfH(kd + 0.5, ss, s) - std::exp(-s * std::log(kd))) {
+      return k;
+    }
+  }
+}
+
+// Table draws and untabled draws both return the reference's rank from the
+// same NextDouble() calls, below and above the table's rank bound.
+TEST(ZipfTableTest, DrawsEqualReferenceDrawForDraw) {
+  const std::vector<int64_t> ns = {0,     1,     2,
+                                   10,    1000,  20000,
+                                   50000, ZipfTable::kMaxRanks,
+                                   ZipfTable::kMaxRanks + 1, 800000};
+  const std::vector<double> exponents = {-0.5, 0.0, 0.4, 0.9, 1.0, 1.05, 1.5};
+  // 2 seeds x 70 distributions x 8,000 draws: 1.12M draws each way.
+  constexpr int kDraws = 8000;
+  int64_t past_bound = 0;
+  for (uint64_t seed : {uint64_t{42}, uint64_t{1009}}) {
+    for (int64_t n : ns) {
+      for (double s : exponents) {
+        const auto table = ZipfTable::Acquire(n, s);
+        Rng reference(seed), untabled(seed), tabled(seed);
+        for (int i = 0; i < kDraws; ++i) {
+          const int64_t want = ReferenceZipf(&reference, n, s);
+          ASSERT_EQ(untabled.Zipf(n, s), want)
+              << "n=" << n << " s=" << s << " seed=" << seed << " draw " << i;
+          const int64_t got = tabled.Zipf(*table);
+          ASSERT_EQ(got, want)
+              << "n=" << n << " s=" << s << " seed=" << seed << " draw " << i;
+          past_bound += got > ZipfTable::kMaxRanks;
+        }
+        const uint64_t next = reference.NextUint64();
+        EXPECT_EQ(untabled.NextUint64(), next) << "n=" << n << " s=" << s;
+        EXPECT_EQ(tabled.NextUint64(), next) << "n=" << n << " s=" << s;
+      }
+    }
+  }
+  EXPECT_GT(past_bound, 0) << "no draw exercised a rank past the table";
+}
+
+TEST(ZipfTableTest, TabulatesRanksUpToTheBound) {
+  EXPECT_EQ(ZipfTable(1000, 0.4).ranks(), 1000u);
+  EXPECT_EQ(ZipfTable(800000, 0.4).ranks(),
+            static_cast<size_t>(ZipfTable::kMaxRanks));
+  EXPECT_EQ(ZipfTable(1000, 0.0).ranks(), 0u);   // uniform
+  EXPECT_EQ(ZipfTable(1000, -0.5).ranks(), 0u);  // uniform
+  EXPECT_EQ(ZipfTable(1, 1.5).ranks(), 0u);      // single rank
+}
+
+// Concurrent acquirers of one (n, s) share the live table, while tables
+// of other distributions are built, dropped and swept around them.
+TEST(ZipfTableTest, ConcurrentAcquirersShareOneTable) {
+  const std::shared_ptr<const ZipfTable> held = ZipfTable::Acquire(30000, 0.85);
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t));
+      for (int i = 0; i < 200; ++i) {
+        mismatches[t] += ZipfTable::Acquire(30000, 0.85) != held;
+        const auto brief = ZipfTable::Acquire(100 + i % 7, 0.5 + 0.01 * t);
+        const int64_t k = rng.Zipf(*brief);
+        mismatches[t] += k < 1 || k > 100 + i % 7;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 }
 
 TEST(RngTest, WeightedIndexProportions) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
 #include <set>
 
 namespace pdsp {
@@ -37,6 +39,83 @@ TEST(TupleGeneratorTest, RejectsBadRanges) {
   auto gen2 =
       TupleGenerator::Create(Schema({{"a", DataType::kInt}}), {zero_card}, 1);
   EXPECT_TRUE(gen2.status().IsInvalidArgument());
+}
+
+// A NaN or infinite exponent used to hang the first Zipf draw; bounds
+// would be cast to integers. All are rejected up front.
+TEST(TupleGeneratorTest, RejectsNonFiniteBoundsAndExponent) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {kInf, -kInf, kNaN}) {
+    for (FieldDistribution dist :
+         {FieldDistribution::kZipfKey, FieldDistribution::kSentence}) {
+      FieldGeneratorSpec spec;
+      spec.dist = dist;
+      spec.min = 1;
+      spec.max = 3;
+      spec.zipf_s = bad;
+      auto gen = TupleGenerator::Create(
+          Schema({{"a", spec.OutputType()}}), {spec}, 1);
+      EXPECT_TRUE(gen.status().IsInvalidArgument())
+          << FieldDistributionToString(dist) << " zipf_s=" << bad;
+    }
+    FieldGeneratorSpec low;
+    low.dist = FieldDistribution::kUniformDouble;
+    low.min = bad;
+    FieldGeneratorSpec high;
+    high.dist = FieldDistribution::kUniformDouble;
+    high.max = bad;
+    for (const FieldGeneratorSpec& spec : {low, high}) {
+      auto gen = TupleGenerator::Create(
+          Schema({{"a", DataType::kDouble}}), {spec}, 1);
+      EXPECT_TRUE(gen.status().IsInvalidArgument())
+          << "min=" << spec.min << " max=" << spec.max;
+    }
+  }
+}
+
+TEST(TupleGeneratorTest, ZipfKeysAreTheRngZipfDraws) {
+  FieldGeneratorSpec spec;
+  spec.dist = FieldDistribution::kZipfKey;
+  spec.cardinality = 800000;
+  spec.zipf_s = 0.4;
+  auto gen =
+      TupleGenerator::Create(Schema({{"k", DataType::kInt}}), {spec}, 42);
+  ASSERT_TRUE(gen.ok());
+  Rng rng(42);
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(gen->Next(0).values[0].AsInt(), rng.Zipf(800000, 0.4)) << i;
+  }
+}
+
+// All holders of one (cardinality, zipf_s) share one table, and it is
+// freed once the last of them is gone.
+TEST(TupleGeneratorTest, ZipfFieldsShareOneTableFreedWithTheLastHolder) {
+  constexpr int64_t kKeys = 4321;
+  constexpr double kSkew = 0.77;
+  std::shared_ptr<const ZipfTable> table = ZipfTable::Acquire(kKeys, kSkew);
+  EXPECT_EQ(ZipfTable::Acquire(kKeys, kSkew), table);
+  EXPECT_NE(ZipfTable::Acquire(kKeys, 0.78), table);
+  const std::weak_ptr<const ZipfTable> weak = table;
+
+  FieldGeneratorSpec key;
+  key.dist = FieldDistribution::kZipfKey;
+  key.cardinality = kKeys;
+  key.zipf_s = kSkew;
+  FieldGeneratorSpec word = key;
+  word.dist = FieldDistribution::kWordString;
+  auto keys = std::make_unique<TupleGenerator>(
+      TupleGenerator::Create(Schema({{"k", DataType::kInt}}), {key}, 1)
+          .value());
+  auto words = std::make_unique<TupleGenerator>(
+      TupleGenerator::Create(Schema({{"w", DataType::kString}}), {word}, 2)
+          .value());
+  table.reset();
+  EXPECT_FALSE(weak.expired());
+  keys.reset();
+  EXPECT_FALSE(weak.expired()) << "the word generator still holds it";
+  words.reset();
+  EXPECT_TRUE(weak.expired());
 }
 
 TEST(TupleGeneratorTest, GeneratesConformingTuples) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <thread>
+#include <vector>
 
 #include "tests/testing/test_plans.h"
 
@@ -187,6 +193,229 @@ TEST(GeneralizedHarmonicTest, MatchesDirectSum) {
 TEST(GeneralizedHarmonicTest, LargeNUsesIntegralTail) {
   // H_{10^7, 1.0} ~ ln(10^7) + gamma ~ 16.695.
   EXPECT_NEAR(GeneralizedHarmonic(10000000, 1.0), 16.695, 0.01);
+}
+
+// GeneralizedHarmonic and KeyMatchProbability as they were before the
+// memo, kept verbatim as the reference the memoized values must equal bit
+// for bit.
+double ReferenceHarmonic(int64_t n, double s) {
+  if (n <= 0) return 0.0;
+  const int64_t exact_terms = std::min<int64_t>(n, 100000);
+  double sum = 0.0;
+  for (int64_t k = 1; k <= exact_terms; ++k) {
+    sum += std::pow(static_cast<double>(k), -s);
+  }
+  if (n > exact_terms) {
+    const double a = static_cast<double>(exact_terms) + 0.5;
+    const double b = static_cast<double>(n) + 0.5;
+    if (s == 1.0) {
+      sum += std::log(b / a);
+    } else {
+      sum += (std::pow(b, 1.0 - s) - std::pow(a, 1.0 - s)) / (1.0 - s);
+    }
+  }
+  return sum;
+}
+
+double ReferenceKeyMass(const FieldGeneratorSpec& spec, int64_t k,
+                        double harmonic) {
+  switch (spec.dist) {
+    case FieldDistribution::kZipfKey:
+    case FieldDistribution::kWordString:
+      if (k > spec.cardinality) return 0.0;
+      return std::pow(static_cast<double>(k), -spec.zipf_s) / harmonic;
+    case FieldDistribution::kUniformKey:
+      return k <= spec.cardinality
+                 ? 1.0 / static_cast<double>(spec.cardinality)
+                 : 0.0;
+    case FieldDistribution::kUniformInt: {
+      const double n = spec.max - spec.min + 1.0;
+      return k <= static_cast<int64_t>(n) ? 1.0 / n : 0.0;
+    }
+    default:
+      return -1.0;
+  }
+}
+
+int64_t ReferenceKeyCardinality(const FieldGeneratorSpec& spec) {
+  switch (spec.dist) {
+    case FieldDistribution::kZipfKey:
+    case FieldDistribution::kWordString:
+    case FieldDistribution::kUniformKey:
+      return spec.cardinality;
+    case FieldDistribution::kUniformInt:
+      return static_cast<int64_t>(spec.max - spec.min + 1.0);
+    default:
+      return -1;
+  }
+}
+
+double ReferenceKeyMatch(const FieldGeneratorSpec& left,
+                         const FieldGeneratorSpec& right) {
+  const int64_t n_l = ReferenceKeyCardinality(left);
+  const int64_t n_r = ReferenceKeyCardinality(right);
+  if (n_l < 1 || n_r < 1) {
+    const auto fallback = static_cast<double>(std::max<int64_t>(
+        1, std::max(n_l, n_r)));
+    return 1.0 / std::max(1.0, fallback);
+  }
+  const double h_l =
+      (left.dist == FieldDistribution::kZipfKey ||
+       left.dist == FieldDistribution::kWordString)
+          ? ReferenceHarmonic(n_l, left.zipf_s)
+          : 1.0;
+  const double h_r =
+      (right.dist == FieldDistribution::kZipfKey ||
+       right.dist == FieldDistribution::kWordString)
+          ? ReferenceHarmonic(n_r, right.zipf_s)
+          : 1.0;
+  const int64_t n = std::min(n_l, n_r);
+  const int64_t exact = std::min<int64_t>(n, 100000);
+  double prob = 0.0;
+  for (int64_t k = 1; k <= exact; ++k) {
+    prob += ReferenceKeyMass(left, k, h_l) * ReferenceKeyMass(right, k, h_r);
+  }
+  if (n > exact) {
+    prob += static_cast<double>(n - exact) *
+            ReferenceKeyMass(left, exact, h_l) *
+            ReferenceKeyMass(right, exact, h_r);
+  }
+  return std::clamp(prob, 0.0, 1.0);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Equal bits, or both NaN: a NaN's sign is not fixed across two
+// compilations of one sum, since the compiler may swap the operands of +
+// (at n > 100,000 a NaN s reads 0x7ff8... in one copy, 0xfff8... in the
+// other).
+bool SameResult(double got, double want) {
+  return Bits(got) == Bits(want) || (std::isnan(got) && std::isnan(want));
+}
+
+struct HarmonicCase {
+  int64_t n;
+  double s;
+};
+
+// n below, at and above the 100,000 exact terms; s == 1, s != 1, NaN and
+// both zeros (equal values, distinct keys).
+std::vector<HarmonicCase> HarmonicCases(double unique_s) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<HarmonicCase> cases;
+  for (int64_t n : {int64_t{1000}, int64_t{99999}, int64_t{100000},
+                    int64_t{100001}, int64_t{800000}}) {
+    for (double s : {1.0, 0.4, 1.05, nan, 0.0, -0.0, unique_s}) {
+      cases.push_back({n, s});
+    }
+  }
+  return cases;
+}
+
+struct KeyMatchCase {
+  FieldGeneratorSpec left, right;
+};
+
+std::vector<KeyMatchCase> KeyMatchCases(double unique_s) {
+  const auto zipf = [](int64_t n, double s) {
+    return testing::KeyValueStream(n, s).specs[0];
+  };
+  FieldGeneratorSpec uniform_key;
+  uniform_key.dist = FieldDistribution::kUniformKey;
+  uniform_key.cardinality = 300000;
+  FieldGeneratorSpec small_uniform_key = uniform_key;
+  small_uniform_key.cardinality = 1000;
+  FieldGeneratorSpec words = zipf(20000, 1.05);
+  words.dist = FieldDistribution::kWordString;
+  return {
+      {zipf(800000, 0.4), zipf(800000, 0.4)},       // the join streams
+      {zipf(1000, 1.1), zipf(5000, unique_s)},      // Zipf x Zipf
+      {zipf(800000, 0.4), small_uniform_key},       // Zipf x uniform key
+      {zipf(1000, 0.8), UniformIntSpec(0, 999)},    // Zipf x uniform int
+      {uniform_key, uniform_key},                   // uniform, past 100k
+      {UniformIntSpec(1, 500), small_uniform_key},  // uniform x uniform
+      {words, words},                               // dictionary words
+      {zipf(1000, 0.8), UniformDoubleSpec(0, 1)},   // not discrete
+  };
+}
+
+TEST(SetupMemoTest, HarmonicEqualsTheSummationBitForBit) {
+  for (const HarmonicCase& c : HarmonicCases(0.3183)) {
+    const double want = ReferenceHarmonic(c.n, c.s);
+    // The first call computes, the second reads the memo.
+    const double computed = GeneralizedHarmonic(c.n, c.s);
+    EXPECT_TRUE(SameResult(computed, want))
+        << "n=" << c.n << " s=" << c.s << ": " << computed << " vs " << want;
+    EXPECT_EQ(Bits(GeneralizedHarmonic(c.n, c.s)), Bits(computed))
+        << "n=" << c.n << " s=" << c.s;
+  }
+  EXPECT_EQ(GeneralizedHarmonic(0, 0.4), 0.0);
+}
+
+TEST(SetupMemoTest, KeyMatchEqualsTheSummationBitForBit) {
+  for (const KeyMatchCase& c : KeyMatchCases(0.3183)) {
+    const uint64_t want = Bits(ReferenceKeyMatch(c.left, c.right));
+    // The first call computes, the second reads the memo.
+    EXPECT_EQ(Bits(KeyMatchProbability(c.left, c.right)), want)
+        << FieldDistributionToString(c.left.dist) << " x "
+        << FieldDistributionToString(c.right.dist);
+    EXPECT_EQ(Bits(KeyMatchProbability(c.left, c.right)), want)
+        << FieldDistributionToString(c.left.dist) << " x "
+        << FieldDistributionToString(c.right.dist);
+  }
+}
+
+// Concurrent callers on fresh keys race to compute and insert, and a walk
+// over more keys than the memo holds clears it under them; every caller
+// still gets the summation's bits (for a NaN sum, the bits the memo's own
+// summation gives).
+TEST(SetupMemoTest, ConcurrentCallersGetTheSameBits) {
+  constexpr double kFreshS = 0.6180339;
+  const std::vector<HarmonicCase> harmonic = HarmonicCases(kFreshS);
+  const std::vector<KeyMatchCase> key_match = KeyMatchCases(kFreshS);
+  std::vector<uint64_t> harmonic_want, key_match_want, walk_want;
+  for (const HarmonicCase& c : harmonic) {
+    const double want = ReferenceHarmonic(c.n, c.s);
+    harmonic_want.push_back(
+        Bits(std::isnan(want) ? GeneralizedHarmonic(c.n, c.s) : want));
+  }
+  for (const KeyMatchCase& c : key_match) {
+    key_match_want.push_back(Bits(ReferenceKeyMatch(c.left, c.right)));
+  }
+  constexpr int kWalk = 5000;  // more keys than the memo's capacity
+  for (int i = 0; i < kWalk; ++i) {
+    walk_want.push_back(Bits(ReferenceHarmonic(3, 2.0 + 1e-3 * i)));
+  }
+
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t j = 0; j < harmonic.size(); ++j) {
+        const size_t i = (j + static_cast<size_t>(t)) % harmonic.size();
+        mismatches[t] += Bits(GeneralizedHarmonic(
+                             harmonic[i].n, harmonic[i].s)) != harmonic_want[i];
+      }
+      for (size_t j = 0; j < key_match.size(); ++j) {
+        const size_t i = (j + static_cast<size_t>(t)) % key_match.size();
+        mismatches[t] += Bits(KeyMatchProbability(
+                             key_match[i].left, key_match[i].right)) !=
+                         key_match_want[i];
+      }
+      for (int i = 0; i < kWalk; ++i) {
+        mismatches[t] +=
+            Bits(GeneralizedHarmonic(3, 2.0 + 1e-3 * i)) != walk_want[i];
+      }
+      for (size_t i = 0; i < key_match.size(); ++i) {
+        mismatches[t] += Bits(KeyMatchProbability(
+                             key_match[i].left, key_match[i].right)) !=
+                         key_match_want[i];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 }
 
 TEST(ZipfCdfTest, Monotone) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <regex>
 
 #include "src/apps/apps.h"
 #include "src/store/plan_serde.h"
@@ -105,6 +106,28 @@ TEST(PlanSerdeTest, RejectsCorruptDocuments) {
   EXPECT_FALSE(PlanFromJson(bad).ok());  // wrong version
   bad.Set("version", Json::Int(1));
   EXPECT_FALSE(PlanFromJson(bad).ok());  // no operators
+}
+
+// A stored plan whose Zipf exponent overflows to inf ("1e999" parses
+// through strtod) loads, but must fail to execute instead of hanging in
+// the first source batch's Zipf draw.
+TEST(PlanSerdeTest, NonFiniteZipfExponentFailsToExecute) {
+  auto plan = testing::LinearPlan(5000.0, 2);
+  ASSERT_TRUE(plan.ok());
+  auto json = PlanToJson(*plan);
+  ASSERT_TRUE(json.ok());
+  const std::string text =
+      std::regex_replace(json->Dump(2), std::regex(R"("zipf_s": [^,\n}]+)"),
+                         R"("zipf_s": 1e999)");
+  ASSERT_NE(text.find(R"("zipf_s": 1e999)"), std::string::npos);
+  auto reparsed = Json::Parse(text);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  auto loaded = PlanFromJson(*reparsed);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExecutionOptions exec;
+  exec.sim.duration_s = 0.5;
+  auto run = ExecutePlan(*loaded, Cluster::M510(4), exec);
+  EXPECT_FALSE(run.ok());
 }
 
 TEST(SimResultSerdeTest, CarriesMetrics) {

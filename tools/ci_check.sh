@@ -13,7 +13,8 @@
 #                   whole gate under ASan/UBSan. Changing it reconfigures the
 #                   build tree.
 #   PDSP_SKIP_TSAN  set to 1 to skip the ThreadSanitizer pass over the
-#                   concurrency-sensitive suites (exec/sim/obs/harness).
+#                   concurrency-sensitive suites (exec/sim/obs/harness/
+#                   runtime/common/query).
 #   PDSP_SKIP_UBSAN set to 1 to skip the AddressSanitizer + UndefinedBehavior-
 #                   Sanitizer pass over the analysis/sim/exec/property/
 #                   runtime/data/apps suites.
@@ -76,19 +77,22 @@ echo "--- debug: pdsp_e2e --smoke ---"
     --out "$DEBUG_DIR/e2e-smoke"
 
 if [ "${PDSP_SKIP_TSAN:-0}" != "1" ]; then
-  step "ThreadSanitizer pass (exec/sim/obs/harness suites)"
+  step "ThreadSanitizer pass (exec/sim/obs/harness/runtime/common/query suites)"
   # A separate build tree under PDSP_SANITIZE=thread: TSan and ASan are
   # mutually exclusive, and reconfiguring the main tree would churn its
   # cache. Only the concurrency-sensitive suites are built and run — the
   # sweep scheduler fans simulations across worker threads, so these suites
   # exercise every cross-thread interaction (pool handoff, registry merge,
-  # worker-phase merge, UDO registry) under the race detector.
+  # worker-phase merge, UDO registry, the shared Zipf table registry and the
+  # set-up sum memo) under the race detector.
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DPDSP_SANITIZE=thread
   cmake --build "$TSAN_DIR" -j "$JOBS" \
-        --target exec_test sim_test obs_test harness_test runtime_test
-  for t in exec_test sim_test obs_test harness_test runtime_test; do
+        --target exec_test sim_test obs_test harness_test runtime_test \
+                 common_test query_test
+  for t in exec_test sim_test obs_test harness_test runtime_test \
+           common_test query_test; do
     echo "--- tsan: $t ---"
     "$TSAN_DIR/tests/$t"
   done
@@ -126,7 +130,7 @@ step "columnar kernel smoke (micro_operators batch/scalar filter pair)"
 # counters. The full pair set with the speedup gate runs in bench_gate.sh.
 "$BUILD_DIR/bench/micro_operators" \
     --benchmark_filter='BM_BatchFilterKernel/1024|BM_ScalarFilter/1024' \
-    --benchmark_min_time=0.05s
+    --benchmark_min_time=0.05
 
 step "static plan analysis (pdspbench analyze all)"
 "$BUILD_DIR/tools/pdspbench" analyze all
