@@ -38,7 +38,8 @@ DatasetSplit StripSplit(const DatasetSplit& split) {
 }  // namespace
 
 int Main(int argc, char** argv) {
-  const int jobs = bench::ParseJobs(argc, argv);
+  const int jobs =
+      bench::ParseDriverOptions(argc, argv, /*monitored=*/false).jobs;
   const bool fast = bench::FastMode();
 
   DataGenOptions gen;

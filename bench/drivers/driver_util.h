@@ -1,11 +1,12 @@
 // Shared knobs for the figure-reproduction drivers. Setting the environment
 // variable PDSP_BENCH_FAST=1 shrinks durations/repeats for smoke runs; the
-// default settings are the ones EXPERIMENTS.md reports. Every driver also
-// accepts --jobs=N (or PDSP_JOBS=N) to fan its sweep cells across worker
-// threads — per-cell results are bit-identical to a sequential run — and
-// --progress[=plain|rich|off] / --progress-file=PATH (or PDSP_PROGRESS /
-// PDSP_PROGRESS_FILE) for live sweep monitoring with PDSP-M### watchdog
-// findings. Driver sweeps install the SIGINT drain handler: Ctrl-C
+// default settings are the ones EXPERIMENTS.md reports. Every driver that
+// takes flags accepts --jobs=N (or PDSP_JOBS=N) to fan its cells across
+// worker threads — per-cell results are bit-identical to a sequential run
+// — and the monitored sweeps also --progress[=plain|rich|off] /
+// --progress-file=PATH (or PDSP_PROGRESS / PDSP_PROGRESS_FILE) for live
+// sweep monitoring with PDSP-M### watchdog findings. Any other argument is
+// a usage error. Driver sweeps install the SIGINT drain handler: Ctrl-C
 // finishes in-flight cells, flushes their ledger records and exits 130.
 
 #ifndef PDSP_BENCH_DRIVERS_DRIVER_UTIL_H_
@@ -20,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/string_util.h"
 #include "src/exec/sweep.h"
 #include "src/harness/harness.h"
@@ -49,57 +51,52 @@ inline RunProtocol FigureProtocol() {
   return p;
 }
 
-/// Worker-thread count for the driver's sweep: --jobs=N on the command line
-/// wins over the PDSP_JOBS environment variable; the default is sequential.
-/// 0 (or any non-positive value) means one worker per hardware thread.
-inline int ParseJobs(int argc, char** argv) {
-  int jobs = 1;
-  if (const char* env = std::getenv("PDSP_JOBS");
-      env != nullptr && *env != '\0') {
-    jobs = std::atoi(env);
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
-    }
-  }
-  return jobs;
-}
-
 /// \brief Everything ParseDriverOptions gleans from argv/environment.
 struct DriverSweepOptions {
   int jobs = 1;
   obs::MonitorOptions monitor;
 };
 
-/// Parses --jobs / --progress[=mode] / --progress-file (command line wins
-/// over PDSP_JOBS / PDSP_PROGRESS / PDSP_PROGRESS_FILE). A bad progress
-/// mode warns and leaves rendering off rather than aborting a long
-/// benchmark over a typo'd cosmetic flag.
-inline DriverSweepOptions ParseDriverOptions(int argc, char** argv) {
+/// Parses the driver's command line through its flag table: --jobs=N and,
+/// when the driver's sweep is `monitored`, --progress[=mode] and
+/// --progress-file=PATH. The command line wins over PDSP_JOBS,
+/// PDSP_PROGRESS and PDSP_PROGRESS_FILE. Jobs default to 1 (sequential);
+/// 0 or less means one worker per hardware thread. A malformed --jobs or
+/// PDSP_JOBS, or any other argument, exits 2; a bad progress mode only
+/// warns and leaves rendering off rather than aborting a long benchmark
+/// over a typo'd cosmetic flag.
+inline DriverSweepOptions ParseDriverOptions(int argc, char** argv,
+                                             bool monitored = true) {
   DriverSweepOptions opts;
-  opts.jobs = ParseJobs(argc, argv);
+  if (const char* env = std::getenv("PDSP_JOBS");
+      env != nullptr && *env != '\0' && !ParseNumber(env, &opts.jobs)) {
+    std::fprintf(stderr, "invalid value '%s' for PDSP_JOBS\n", env);
+    std::exit(2);
+  }
   std::string mode;
   bool progress_set = false;
+  std::vector<Flag> flags = {
+      {"jobs", &opts.jobs, "N",
+       "sweep worker threads, 0 = one per hardware thread (PDSP_JOBS)"}};
+  if (monitored) {
+    if (const char* env = std::getenv("PDSP_PROGRESS_FILE")) {
+      opts.monitor.jsonl_path = env;
+    }
+    flags.push_back({"progress", &mode, "MODE",
+                     "live monitoring: plain | rich | off | auto (bare: "
+                     "auto; PDSP_PROGRESS)",
+                     &progress_set});
+    flags.push_back({"progress-file", &opts.monitor.jsonl_path, "PATH",
+                     "append monitor snapshots to PATH as JSONL "
+                     "(PDSP_PROGRESS_FILE)"});
+  }
+  if (!FlagTable{argv[0], 0, std::move(flags)}.Parse(argc, argv)) {
+    std::exit(2);
+  }
   if (const char* env = std::getenv("PDSP_PROGRESS");
-      env != nullptr && *env != '\0') {
+      monitored && !progress_set && env != nullptr && *env != '\0') {
     mode = env;
     progress_set = true;
-  }
-  if (const char* env = std::getenv("PDSP_PROGRESS_FILE");
-      env != nullptr && *env != '\0') {
-    opts.monitor.jsonl_path = env;
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--progress") == 0) {
-      progress_set = true;
-      mode.clear();  // auto
-    } else if (std::strncmp(argv[i], "--progress=", 11) == 0) {
-      progress_set = true;
-      mode = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--progress-file=", 16) == 0) {
-      opts.monitor.jsonl_path = argv[i] + 16;
-    }
   }
   if (progress_set || !opts.monitor.jsonl_path.empty()) {
     opts.monitor.enabled = true;
@@ -141,14 +138,6 @@ inline exec::SweepResult RunDriverSweep(std::vector<exec::SweepCell> cells,
                  name.c_str());
   }
   return sweep;
-}
-
-/// Back-compat shorthand: sweep with N workers, no monitoring.
-inline exec::SweepResult RunDriverSweep(std::vector<exec::SweepCell> cells,
-                                        const std::string& name, int jobs) {
-  DriverSweepOptions opts;
-  opts.jobs = jobs;
-  return RunDriverSweep(std::move(cells), name, opts);
 }
 
 /// Driver exit code honoring the SIGINT convention (130 after a drain).

@@ -22,7 +22,8 @@
 namespace pdsp {
 
 int Main(int argc, char** argv) {
-  const int jobs = bench::ParseJobs(argc, argv);
+  const int jobs =
+      bench::ParseDriverOptions(argc, argv, /*monitored=*/false).jobs;
   const bool fast = bench::FastMode();
   const std::vector<SyntheticStructure> structures = {
       SyntheticStructure::kLinear,

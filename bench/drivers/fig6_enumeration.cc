@@ -40,7 +40,8 @@ DataGenOptions BaseGen(bool fast) {
 }  // namespace
 
 int Main(int argc, char** argv) {
-  const int jobs = bench::ParseJobs(argc, argv);
+  const int jobs =
+      bench::ParseDriverOptions(argc, argv, /*monitored=*/false).jobs;
   const bool fast = bench::FastMode();
   const Cluster cluster = Cluster::M510(10);
   const std::vector<SyntheticStructure> seen_structures = {

@@ -747,23 +747,24 @@ class RateIntervalPass : public AnalysisPass {
       const OperatorDescriptor& op = ctx.op(id);
       if (op.type == OperatorType::kSource) continue;
       const RateInterval& in = ctx.props->ops[i].input_rate;
-      if (in.lo <= 0.0) continue;
+      // Only a finite proven bound can over-saturate: a NaN bound (say,
+      // from a NaN filter literal) compares false against everything.
+      if (!std::isfinite(in.lo) || in.lo <= 0.0) continue;
       const double per_tuple = cost.InputTupleCost(op);
       const double capacity =
           static_cast<double>(std::max(1, op.parallelism)) * speed /
           std::max(1e-12, per_tuple);
       const double utilization = in.lo / capacity;
       if (utilization < 1.0) continue;
-      const int needed = static_cast<int>(
-          std::ceil(static_cast<double>(std::max(1, op.parallelism)) *
-                    utilization));
+      const double needed = std::ceil(
+          static_cast<double>(std::max(1, op.parallelism)) * utilization);
       out->push_back(MakeDiag(
           Severity::kWarning, "PDSP-W605", ctx, id,
           StrFormat("statically over-saturated: proven minimum input rate "
                     "%.0f ev/s is %.1fx the service capacity of %d "
                     "instance(s) (%.0f ev/s)",
                     in.lo, utilization, op.parallelism, capacity),
-          StrFormat("raise parallelism to at least %d or reduce the "
+          StrFormat("raise parallelism to at least %.0f or reduce the "
                     "upstream rate",
                     needed)));
     }

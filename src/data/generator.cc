@@ -72,6 +72,16 @@ Result<TupleGenerator> TupleGenerator::Create(
       return Status::InvalidArgument(
           StrFormat("field %zu: min > max", i));
     }
+    // Integer draws convert the bounds to int64_t; outside [-2^63, 2^63)
+    // that conversion is undefined and in practice pins every draw to one
+    // value.
+    const bool integer_bounds =
+        specs[i].dist == FieldDistribution::kUniformInt ||
+        specs[i].dist == FieldDistribution::kSentence;
+    if (integer_bounds && (specs[i].min < -0x1p63 || specs[i].max >= 0x1p63)) {
+      return Status::InvalidArgument(
+          StrFormat("field %zu: min and max must lie in [-2^63, 2^63)", i));
+    }
     if (specs[i].cardinality < 1) {
       return Status::InvalidArgument(
           StrFormat("field %zu: cardinality < 1", i));

@@ -4,10 +4,11 @@
 
 #include <chrono>
 #include <cinttypes>
-#include <cstdlib>
 #include <ctime>
+#include <string_view>
 
 #include "src/common/file_util.h"
+#include "src/common/flags.h"
 #include "src/common/string_util.h"
 #include "src/store/plan_serde.h"
 
@@ -274,16 +275,9 @@ Result<RunRecord> ResolveRecord(const std::vector<RunRecord>& records,
   std::string label = spec;
   size_t back = 0;
   const size_t tilde = spec.rfind('~');
-  if (tilde != std::string::npos && tilde + 1 < spec.size()) {
-    bool numeric = true;
-    for (size_t i = tilde + 1; i < spec.size(); ++i) {
-      if (spec[i] < '0' || spec[i] > '9') numeric = false;
-    }
-    if (numeric) {
-      label = spec.substr(0, tilde);
-      back = static_cast<size_t>(
-          std::strtoull(spec.c_str() + tilde + 1, nullptr, 10));
-    }
+  if (tilde != std::string::npos &&
+      ParseNumber(std::string_view(spec).substr(tilde + 1), &back)) {
+    label = spec.substr(0, tilde);
   }
   size_t remaining = back;
   for (auto it = records.rbegin(); it != records.rend(); ++it) {

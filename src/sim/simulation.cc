@@ -1286,22 +1286,4 @@ Result<SimResult> ExecutePlan(const LogicalPlan& plan, const Cluster& cluster,
                          options.sim);
 }
 
-Result<double> MeanMedianLatency(const LogicalPlan& plan,
-                                 const Cluster& cluster,
-                                 const ExecutionOptions& options,
-                                 int repeats) {
-  if (repeats < 1) return Status::InvalidArgument("repeats < 1");
-  double sum = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    ExecutionOptions opt = options;
-    opt.sim.seed = options.sim.seed + static_cast<uint64_t>(r) * 1299709ULL;
-    PDSP_ASSIGN_OR_RETURN(SimResult result, ExecutePlan(plan, cluster, opt));
-    if (std::isnan(result.median_latency_s)) {
-      return Status::Internal("run produced no sink results");
-    }
-    sum += result.median_latency_s;
-  }
-  return sum / repeats;
-}
-
 }  // namespace pdsp

@@ -218,14 +218,6 @@ struct ExecutionOptions {
 Result<SimResult> ExecutePlan(const LogicalPlan& plan, const Cluster& cluster,
                               const ExecutionOptions& options);
 
-/// Runs `repeats` simulations with different seeds and returns the mean of
-/// their median latencies — the paper's reporting protocol ("mean of three
-/// runs of measuring median latency").
-Result<double> MeanMedianLatency(const LogicalPlan& plan,
-                                 const Cluster& cluster,
-                                 const ExecutionOptions& options,
-                                 int repeats = 3);
-
 }  // namespace pdsp
 
 #endif  // PDSP_SIM_SIMULATION_H_

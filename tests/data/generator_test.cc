@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <utility>
 
 namespace pdsp {
 namespace {
@@ -72,6 +73,40 @@ TEST(TupleGeneratorTest, RejectsNonFiniteBoundsAndExponent) {
           << "min=" << spec.min << " max=" << spec.max;
     }
   }
+}
+
+// Integer draws convert the bounds to int64_t: a finite bound outside
+// [-2^63, 2^63) used to convert to INT64_MIN, so {0, 1e300} drew 0 forever.
+TEST(TupleGeneratorTest, RejectsIntegerBoundsOutsideInt64) {
+  for (FieldDistribution dist :
+       {FieldDistribution::kUniformInt, FieldDistribution::kSentence}) {
+    for (const auto& [min, max] : {std::pair{0.0, 1e300},
+                                   std::pair{-1e300, 0.0},
+                                   std::pair{0.0, 0x1p63}}) {
+      FieldGeneratorSpec spec;
+      spec.dist = dist;
+      spec.min = min;
+      spec.max = max;
+      auto gen = TupleGenerator::Create(
+          Schema({{"a", spec.OutputType()}}), {spec}, 1);
+      EXPECT_TRUE(gen.status().IsInvalidArgument())
+          << FieldDistributionToString(dist) << " [" << min << ", " << max
+          << "]";
+    }
+  }
+  // The extremes that do fit are accepted; a double bound keeps any range.
+  FieldGeneratorSpec widest;
+  widest.min = -0x1p63;
+  widest.max = 0x1p62;
+  EXPECT_TRUE(
+      TupleGenerator::Create(Schema({{"a", DataType::kInt}}), {widest}, 1)
+          .ok());
+  FieldGeneratorSpec wide_double;
+  wide_double.dist = FieldDistribution::kUniformDouble;
+  wide_double.max = 1e300;
+  EXPECT_TRUE(TupleGenerator::Create(Schema({{"a", DataType::kDouble}}),
+                                     {wide_double}, 1)
+                  .ok());
 }
 
 TEST(TupleGeneratorTest, ZipfKeysAreTheRngZipfDraws) {

@@ -228,17 +228,6 @@ TEST(SimulationTest, BackpressureSkipsWhenSaturated) {
   EXPECT_GT(r->backpressure_skipped, 0);
 }
 
-TEST(SimulationTest, MeanMedianLatencyAveragesRuns) {
-  auto plan = FilterOnlyPlan(5000.0, 2);
-  ASSERT_TRUE(plan.ok());
-  auto m = MeanMedianLatency(*plan, Cluster::M510(4), FastOptions(), 3);
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
-  EXPECT_GT(*m, 0.0);
-  EXPECT_LT(*m, 1.0);
-  EXPECT_FALSE(MeanMedianLatency(*plan, Cluster::M510(4), FastOptions(), 0)
-                   .ok());
-}
-
 TEST(SimulationTest, SummaryMentionsLatency) {
   auto plan = FilterOnlyPlan(1000.0, 1);
   ASSERT_TRUE(plan.ok());

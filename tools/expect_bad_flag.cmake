@@ -1,21 +1,31 @@
-# Runs pdspbench with one malformed numeric flag after a valid plan
-# selection and fails unless it exits with the usage status 2 and an error
-# that names the flag (not the generic usage text). A leniently parsed
-# value would instead simulate the plan and exit 0.
+# Runs one command line that carries a bad flag and fails unless it exits
+# with the usage status 2 before doing any work (nothing on stdout) and its
+# error names FLAG. WANT=value: a malformed value, so the error must not
+# carry the usage text (a leniently parsed value would instead run and exit
+# 0). WANT=usage: an unknown flag, so the usage text must follow.
 #
-#   cmake -DPDSPBENCH=<binary> -DBAD_FLAG=--nodes=4abc -P expect_bad_flag.cmake
-string(REGEX REPLACE "=.*" "" flag "${BAD_FLAG}")
+#   cmake -DFLAG=--nodes -DWANT=value \
+#         "-DCOMMAND=<binary>;--structure=linear;--nodes=4abc" \
+#         -P expect_bad_flag.cmake
 execute_process(
-  COMMAND ${PDSPBENCH} --structure=linear --rate=1000 --duration=0.6
-          ${BAD_FLAG}
+  COMMAND ${COMMAND}
   RESULT_VARIABLE status
-  OUTPUT_QUIET
+  OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT status EQUAL 2)
-  message(FATAL_ERROR "${BAD_FLAG}: exit status ${status}, want 2")
+  message(FATAL_ERROR "${COMMAND}: exit status ${status}, want 2")
 endif()
-string(FIND "${err}" "${flag}" named)
+if(NOT out STREQUAL "")
+  message(FATAL_ERROR "${COMMAND}: ran before failing, stdout: ${out}")
+endif()
+string(FIND "${err}" "${FLAG}" named)
 string(FIND "${err}" "usage:" usage)
-if(named EQUAL -1 OR NOT usage EQUAL -1)
-  message(FATAL_ERROR "${BAD_FLAG}: error does not name ${flag}: ${err}")
+if(named EQUAL -1)
+  message(FATAL_ERROR "${COMMAND}: error does not name ${FLAG}: ${err}")
+endif()
+if(WANT STREQUAL "value" AND NOT usage EQUAL -1)
+  message(FATAL_ERROR "${COMMAND}: malformed value prints usage: ${err}")
+endif()
+if(WANT STREQUAL "usage" AND usage EQUAL -1)
+  message(FATAL_ERROR "${COMMAND}: unknown flag prints no usage: ${err}")
 endif()

@@ -4,95 +4,34 @@
 // performance.
 //
 //   pdspbench --app=SG --rate=200000 --parallelism=16 --cluster=c6525
-//   pdspbench --structure=join2 --rate=100000 --parallelism=8
+//   pdspbench --structure=join2 --parallelism=2,8,32 --jobs=4
 //   pdspbench --list
 //   pdspbench analyze all
-//   pdspbench analyze SG --json
+//   pdspbench diagnose WC --explain
+//   pdspbench baseline check all
 //
-// Flags:
-//   --app=<abbrev>        one of the Table 2 applications (WC, SG, ...)
-//   --structure=<name>    one of the synthetic structures (linear, join2...)
-//   --rate=<events/s>     per-source event rate          [default 100000]
-//   --parallelism=<n>     degree for all operators       [default 8]
-//                         a comma list (e.g. 2,8,32) sweeps the degrees
-//   --jobs=<n>            sweep worker threads (0 = all cores) [default 1]
-//   --progress[=mode]     live sweep monitoring: plain | rich | off | auto
-//                         (bare --progress = auto: rich on a TTY, plain
-//                         otherwise); emits PDSP-M### watchdog findings
-//   --progress-file=<p>   append monitor snapshots to <p> (JSONL)
-//   --profile[=HZ]        sample real CPU per operator while simulating
-//                         (sampling profiler, default 97 Hz; results in
-//                         profile.json + the ledger record; virtual-time
-//                         outputs stay bit-identical)
-//   --artifacts=<dir>     write per-run artifact bundles under <dir>
-//                         (sweeps: <dir>/<cell-label>/)
-//   --cluster=<name>      m510 | c6525 | c6320 | mixed   [default m510]
-//   --nodes=<n>           cluster size                   [default 10]
-//   --duration=<s>        generation horizon             [default 5]
-//   --seed=<n>            simulation seed                [default 42]
-//   --placement=<name>    round_robin|least_loaded|locality|random
-//   --save=<id>           persist plan + metrics into --store
-//   --load=<id>           re-execute a stored plan instead of --app/--structure
-//   --store=<dir>         run store directory            [default ./runs]
-//   --allow-invalid       simulate even when static analysis finds errors
-//   --list                print available apps and structures
-//
-// The `analyze` subcommand runs the pdsp::analysis lint passes over
-// registered benchmark plans without simulating them:
-//   pdspbench analyze <abbrev|structure|all> [--json] [--strict]
-//                     [--cluster=NAME] [--nodes=N] [--parallelism=N]
-//                     [--rate=N] [--list-passes]
-// Exit status: 0 when no error-severity diagnostics were found (with
-// --strict: no warnings either), 1 otherwise — CI runs `analyze all`.
-//
-// The `diagnose` subcommand simulates a plan, then runs the runtime
-// bottleneck diagnosis (pdsp::obs::DiagnoseRun): latency breakdown,
-// weighted critical path and PDSP-R### findings with fix hints:
-//   pdspbench diagnose <abbrev|structure|all> [--parallelism=N] [--rate=N]
-//                      [--cluster=NAME] [--nodes=N] [--duration=S]
-//                      [--seed=N] [--json] [--explain]
-// Exit status: 0 when no error-severity runtime diagnostics (saturation)
-// were found, 1 otherwise.
-//
-// Provenance / regression subcommands over the run ledger
-// (results/ledger.jsonl by default; see src/obs/ledger.h):
-//   pdspbench history [<label>|all] [--ledger=PATH] [--app=NAME]
-//                     [--limit=N] [--json] [--format=table|csv]
-//   pdspbench report <ledger|dir|record.json> [--out=PATH] [--against=PATH]
-//                     [--app=NAME] [--limit=N] — self-contained HTML report
-//   pdspbench compare <baseline> <candidate> [--ledger=PATH]
-//                     [--threshold=F] [--sigmas=F] [--json]
-//     Record specs: a label (latest run), label~N (N-back), a run id or a
-//     unique >=4-char run-id prefix. Exit 1 when any metric regressed.
-//   pdspbench baseline write (<abbrev>|<structure>|all) [--dir=DIR] ...
-//   pdspbench baseline check (<abbrev>|<structure>|all) [--dir=DIR]
-//                     [--threshold=F] [--json]
-//     write: measures the target(s) and stores the RunRecord under
-//     bench/baselines/<label>.json (also appended to the ledger).
-//     check: re-measures with the baseline's recorded protocol (same seed,
-//     repeats, rate, parallelism, cluster) and compares; exit 1 on
-//     regression beyond threshold — tools/bench_gate.sh's core.
-// The plain run mode accepts --ledger=PATH to append its own RunRecord.
+// Each command declares its flags once, in the FlagTable of its *Main
+// function below (Main holds the plain run's and the parallelism sweep's);
+// a usage error prints the usage text generated from that table and exits
+// 2. Each *Main says when it exits 1.
 
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
-#include <type_traits>
+#include <string_view>
 #include <vector>
 
 #include "src/analysis/analyzer.h"
 #include "src/analysis/properties.h"
 #include "src/apps/apps.h"
 #include "src/common/file_util.h"
+#include "src/common/flags.h"
 #include "src/common/string_util.h"
 #include "src/exec/sweep.h"
 #include "src/harness/harness.h"
@@ -115,106 +54,9 @@ namespace pdsp {
 
 namespace {
 
-struct Args {
-  std::string app;
-  std::string structure;
-  double rate = 100000.0;
-  int parallelism = 8;
-  /// All degrees from --parallelism; more than one switches to sweep mode.
-  std::vector<int> degrees = {8};
-  /// Sweep worker threads (--jobs; 0 = one per hardware thread).
-  int jobs = 1;
-  std::string cluster = "m510";
-  int nodes = 10;
-  double duration = 5.0;
-  uint64_t seed = 42;
-  std::string placement = "least_loaded";
-  std::string save;
-  std::string load;
-  std::string store_dir = "runs";
-  std::string ledger;  ///< when set, append this run's RunRecord here
-  /// --profile[=HZ]: sampling CPU profiler (bare flag keeps the default
-  /// cadence). Profiling never perturbs virtual-time results.
-  bool profile_set = false;
-  double profile_hz = 97.0;
-  /// --mem-profile[=KiB]: sampling allocation profiler (bare flag keeps the
-  /// default 512 KiB sampling interval). Like --profile, it only observes
-  /// host-side state, so virtual-time results stay bit-identical.
-  bool mem_profile_set = false;
-  double mem_interval_kib = 512.0;
-  /// --artifacts=DIR: write per-run artifact bundles (metrics.json,
-  /// profile.json, ...) under DIR (sweeps: DIR/<cell-label>/).
-  std::string artifacts;
-  /// --progress[=plain|rich|off|auto]: live sweep monitoring. Empty means
-  /// the flag was not given at all (monitor fully off).
-  std::string progress;
-  bool progress_set = false;
-  /// --progress-file=PATH: append every monitor snapshot here (JSONL).
-  std::string progress_file;
-  bool list = false;
-  bool allow_invalid = false;
-};
-
-bool ParseArg(const char* arg, const char* name, std::string* out) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (std::strncmp(arg, prefix.c_str(), prefix.size()) != 0) return false;
-  *out = arg + prefix.size();
-  return true;
-}
-
-/// Reads the value of numeric flag --`name`: all of `value` must be one
-/// number that fits T (and, for floating point, is finite). Otherwise
-/// prints a message naming the flag and returns false; callers then exit
-/// with the usage status 2.
-template <typename T>
-bool ParseNumber(const char* name, const std::string& value, T* out) {
-  const char* end = value.data() + value.size();
-  T parsed{};
-  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
-  bool ok = ec == std::errc() && ptr == end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(parsed);
-  if (!ok) {
-    std::fprintf(stderr, "invalid value '%s' for --%s\n", value.c_str(),
-                 name);
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: pdspbench (--app=<abbrev> | --structure=<name>) "
-               "[--rate=N] [--parallelism=N[,N...]]\n"
-               "                 [--jobs=N] "
-               "[--cluster=m510|c6525|c6320|mixed] "
-               "[--nodes=N] [--duration=S] [--seed=N]\n"
-               "                 [--placement=NAME] [--allow-invalid] | "
-               "--list\n"
-               "       pdspbench analyze (<abbrev>|<structure>|all) "
-               "[--json] [--strict] | analyze --list-passes\n"
-               "       pdspbench diagnose (<abbrev>|<structure>|all) "
-               "[--parallelism=N] [--json] [--explain]\n"
-               "       pdspbench history [<label>|all] [--ledger=PATH] "
-               "[--app=NAME] [--limit=N] [--json]\n"
-               "                 [--format=table|csv]\n"
-               "       pdspbench report <ledger|dir|record.json> "
-               "[--out=PATH] [--against=PATH] [--app=NAME]\n"
-               "                 [--limit=N] [--title=S] [--threshold=F] "
-               "[--sigmas=F]\n"
-               "       pdspbench compare <runA> <runB> [--ledger=PATH] "
-               "[--threshold=F] [--sigmas=F] [--json]\n"
-               "       pdspbench baseline (write|check) "
-               "(<abbrev>|<structure>|all) [--dir=PATH] [--threshold=F]\n"
-               "  (plain runs accept --ledger=PATH to append a provenance "
-               "record; sweeps accept\n"
-               "   --progress[=plain|rich|off] and --progress-file=PATH for "
-               "live monitoring;\n"
-               "   both accept --profile[=HZ] for CPU sampling, "
-               "--mem-profile[=KiB] for allocation\n"
-               "   sampling and --artifacts=DIR for bundles)\n");
-  return 2;
-}
+constexpr char kDefaultLedgerPath[] = "results/ledger.jsonl";
+constexpr char kDefaultBaselineDir[] = "bench/baselines";
+constexpr char kClusterHelp[] = "m510 | c6525 | c6320 | mixed";
 
 void PrintCatalog() {
   std::printf("applications (--app):\n");
@@ -244,43 +86,150 @@ Result<PlacementKind> MakePlacement(const std::string& name) {
   return Status::InvalidArgument("unknown placement '" + name + "'");
 }
 
-// --- analyze subcommand --------------------------------------------------
+// --- the benchmark catalog -----------------------------------------------
 
-struct AnalyzeTarget {
-  std::string name;   // abbrev or structure name
-  std::string title;  // human description
-  Result<LogicalPlan> plan = Status::Internal("not built");
+/// \brief A selectable benchmark: a Table 2 application or a canonical
+/// synthetic structure, with the factory of its plan.
+struct Benchmark {
+  std::string name;   ///< app abbreviation or structure name
+  std::string title;  ///< app name or "synthetic <structure>"
+  bool is_app = false;
+  std::function<Result<LogicalPlan>(double rate, int parallelism)> make_plan;
 };
 
-Result<LogicalPlan> BuildAppPlan(AppId id, double rate, int parallelism) {
-  AppOptions opt;
-  opt.event_rate = rate;
-  opt.parallelism = parallelism;
-  return MakeApp(id, opt);
+/// The 14 Table 2 apps, then the synthetic structures.
+const std::vector<Benchmark>& Catalog() {
+  static const std::vector<Benchmark> catalog = [] {
+    std::vector<Benchmark> out;
+    for (const AppInfo& info : AllApps()) {
+      const AppId id = info.id;
+      out.push_back({info.abbrev, info.name, true,
+                     [id](double rate, int parallelism) {
+                       AppOptions opt;
+                       opt.event_rate = rate;
+                       opt.parallelism = parallelism;
+                       return MakeApp(id, opt);
+                     }});
+    }
+    for (SyntheticStructure s : AllSyntheticStructures()) {
+      const char* name = SyntheticStructureToString(s);
+      out.push_back({name, std::string("synthetic ") + name, false,
+                     [s](double rate, int parallelism) {
+                       CanonicalOptions opt;
+                       opt.event_rate = rate;
+                       opt.parallelism = parallelism;
+                       return MakeCanonicalSynthetic(s, opt);
+                     }});
+    }
+    return out;
+  }();
+  return catalog;
 }
 
-Result<LogicalPlan> BuildStructurePlan(SyntheticStructure s, double rate,
-                                       int parallelism) {
-  CanonicalOptions opt;
-  opt.event_rate = rate;
-  opt.parallelism = parallelism;
-  return MakeCanonicalSynthetic(s, opt);
+/// The catalog entry called `name` among the apps (when `apps`) and the
+/// structures (when `structures`); null when there is none.
+const Benchmark* FindBenchmark(const std::string& name, bool apps = true,
+                               bool structures = true) {
+  for (const Benchmark& b : Catalog()) {
+    if (b.name == name && (b.is_app ? apps : structures)) return &b;
+  }
+  return nullptr;
 }
 
-int AnalyzeUsage() {
-  std::fprintf(stderr,
-               "usage: pdspbench analyze (<app-abbrev>|<structure>|all) "
-               "[--json] [--strict] [--dataflow]\n"
-               "                 [--cluster=m510|c6525|c6320|mixed] "
-               "[--nodes=N] [--parallelism=N]\n"
-               "                 [--rate=N] | analyze --list-passes\n"
-               "  --dataflow  print the derived property table "
-               "(partitioning, rate intervals, determinism)\n");
-  return 2;
+/// The entries a command's target argument names: "all" is every app and,
+/// with `all_structures`, every structure; any other name is one entry.
+/// Prints an error and returns none when nothing matches.
+std::vector<const Benchmark*> SelectBenchmarks(const std::string& target,
+                                               bool all_structures,
+                                               const char* command) {
+  std::vector<const Benchmark*> out;
+  if (target != "all") {
+    if (const Benchmark* b = FindBenchmark(target)) out.push_back(b);
+  } else {
+    for (const Benchmark& b : Catalog()) {
+      if (b.is_app || all_structures) out.push_back(&b);
+    }
+  }
+  if (out.empty()) {
+    std::fprintf(stderr,
+                 "unknown %s target '%s' (use --list for the catalog)\n",
+                 command, target.c_str());
+  }
+  return out;
 }
 
+// --- analyze and diagnose subcommands ------------------------------------
+
+/// \brief Per-target output of analyze and diagnose: a JSON object or a
+/// "== name (title) ==" block per target, then the totals.
+class TargetReport {
+ public:
+  explicit TargetReport(bool json) : json_(json) {}
+
+  /// Opens a target's entry: prints its header line (text) and returns its
+  /// JSON object, which names the plan.
+  Json Open(const Benchmark& b) {
+    ++targets_;
+    if (!json_) {
+      std::printf("== %s (%s) ==\n", b.name.c_str(), b.title.c_str());
+    }
+    Json entry = Json::Object();
+    entry.Set("plan", Json::Str(b.name));
+    return entry;
+  }
+
+  /// Closes an entry whose `stage` (build, run, diagnosis) failed, as one
+  /// error; JSON keeps the status under `json_key`.
+  void Fail(Json entry, const char* json_key, const char* stage,
+            const Status& status) {
+    ++errors_;
+    if (json_) {
+      entry.Set(json_key, Json::Str(status.ToString()));
+      plans_.Append(std::move(entry));
+    } else {
+      std::printf("%s failed: %s\n\n", stage, status.ToString().c_str());
+    }
+  }
+
+  /// Closes an entry, counting the errors and warnings among `findings`.
+  void Close(Json entry, const analysis::AnalysisReport& findings) {
+    const size_t errors = findings.NumErrors();
+    errors_ += errors;
+    warnings_ += findings.CountAtLeast(analysis::Severity::kWarning) - errors;
+    if (json_) plans_.Append(std::move(entry));
+  }
+
+  /// Prints the totals (the JSON document, or "<verb> N plans: ..." text)
+  /// and returns the exit status: 1 on an error, or on a warning when
+  /// `warnings_fail`.
+  int Finish(const char* verb, bool warnings_fail) {
+    if (json_) {
+      Json out = Json::Object();
+      out.Set("plans", std::move(plans_));
+      out.Set("errors", Json::Int(static_cast<int64_t>(errors_)));
+      out.Set("warnings", Json::Int(static_cast<int64_t>(warnings_)));
+      std::printf("%s\n", out.Dump(2).c_str());
+    } else {
+      std::printf("%s %zu plan%s: %zu error%s, %zu warning%s\n", verb,
+                  targets_, targets_ == 1 ? "" : "s", errors_,
+                  errors_ == 1 ? "" : "s", warnings_,
+                  warnings_ == 1 ? "" : "s");
+    }
+    return errors_ > 0 || (warnings_fail && warnings_ > 0) ? 1 : 0;
+  }
+
+ private:
+  bool json_;
+  size_t targets_ = 0;
+  size_t errors_ = 0;
+  size_t warnings_ = 0;
+  Json plans_ = Json::Array();
+};
+
+/// `analyze`: the pdsp::analysis lint passes over registered plans, without
+/// simulating. Exits 1 on an error-severity finding (with --strict, on a
+/// warning too); CI runs `analyze all`.
 int AnalyzeMain(int argc, char** argv) {
-  std::string target;
   std::string cluster_name = "m510";
   int nodes = 10;
   int parallelism = 1;
@@ -289,30 +238,21 @@ int AnalyzeMain(int argc, char** argv) {
   bool strict = false;
   bool list_passes = false;
   bool dataflow = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--strict") == 0) {
-      strict = true;
-    } else if (std::strcmp(argv[i], "--list-passes") == 0) {
-      list_passes = true;
-    } else if (std::strcmp(argv[i], "--dataflow") == 0) {
-      dataflow = true;
-    } else if (ParseArg(argv[i], "cluster", &cluster_name)) {
-    } else if (ParseArg(argv[i], "nodes", &value)) {
-      if (!ParseNumber("nodes", value, &nodes)) return 2;
-    } else if (ParseArg(argv[i], "parallelism", &value)) {
-      if (!ParseNumber("parallelism", value, &parallelism)) return 2;
-    } else if (ParseArg(argv[i], "rate", &value)) {
-      if (!ParseNumber("rate", value, &rate)) return 2;
-    } else if (argv[i][0] != '-' && target.empty()) {
-      target = argv[i];
-    } else {
-      std::fprintf(stderr, "unknown analyze argument: %s\n", argv[i]);
-      return AnalyzeUsage();
-    }
-  }
+  const FlagTable table{
+      "pdspbench analyze (<abbrev>|<structure>|all) | analyze --list-passes",
+      1,
+      {{"json", &json, "print one JSON document"},
+       {"strict", &strict, "exit 1 on warnings too"},
+       {"dataflow", &dataflow,
+        "print the derived property table (partitioning, rate intervals, "
+        "determinism)"},
+       {"list-passes", &list_passes, "list the registered analysis passes"},
+       {"cluster", &cluster_name, "NAME", kClusterHelp},
+       {"nodes", &nodes, "N", "cluster size"},
+       {"parallelism", &parallelism, "N", "degree for all operators"},
+       {"rate", &rate, "N", "per-source event rate (events/s)"}}};
+  std::vector<std::string> positionals;
+  if (!table.Parse(argc, argv, &positionals)) return 2;
   if (list_passes) {
     std::printf("registered analysis passes:\n");
     const analysis::PassRegistry& passes = analysis::DefaultPasses();
@@ -323,128 +263,57 @@ int AnalyzeMain(int argc, char** argv) {
     }
     return 0;
   }
-  if (target.empty() || nodes < 1 || parallelism < 1 || rate <= 0) {
-    return AnalyzeUsage();
+  if (positionals.empty() || nodes < 1 || parallelism < 1 || rate <= 0) {
+    return table.Usage();
   }
   auto cluster = MakeCluster(cluster_name, nodes);
   if (!cluster.ok()) {
     std::fprintf(stderr, "%s\n", cluster.status().ToString().c_str());
     return 2;
   }
-
-  std::vector<AnalyzeTarget> targets;
-  if (target == "all") {
-    for (const AppInfo& info : AllApps()) {
-      targets.push_back({info.abbrev, info.name,
-                         BuildAppPlan(info.id, rate, parallelism)});
-    }
-    for (SyntheticStructure s : AllSyntheticStructures()) {
-      targets.push_back({SyntheticStructureToString(s),
-                         std::string("synthetic ") +
-                             SyntheticStructureToString(s),
-                         BuildStructurePlan(s, rate, parallelism)});
-    }
-  } else if (auto id = FindAppByAbbrev(target); id.ok()) {
-    targets.push_back({target, GetAppInfo(*id).name,
-                       BuildAppPlan(*id, rate, parallelism)});
-  } else {
-    bool found = false;
-    for (SyntheticStructure s : AllSyntheticStructures()) {
-      if (target == SyntheticStructureToString(s)) {
-        targets.push_back({target,
-                           std::string("synthetic ") + target,
-                           BuildStructurePlan(s, rate, parallelism)});
-        found = true;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr,
-                   "unknown analyze target '%s' (use --list for the "
-                   "catalog)\n",
-                   target.c_str());
-      return 2;
-    }
-  }
+  const std::vector<const Benchmark*> targets =
+      SelectBenchmarks(positionals[0], /*all_structures=*/true, "analyze");
+  if (targets.empty()) return 2;
 
   analysis::AnalyzeOptions options;
   options.cluster = &*cluster;
-  size_t total_errors = 0;
-  size_t total_warnings = 0;
-  Json all = Json::Array();
-  for (AnalyzeTarget& t : targets) {
-    if (!t.plan.ok()) {
+  TargetReport report(json);
+  for (const Benchmark* b : targets) {
+    Json entry = report.Open(*b);
+    const Result<LogicalPlan> plan = b->make_plan(rate, parallelism);
+    if (!plan.ok()) {
       // The plan factory itself refused (Build()'s error gate or a latched
-      // builder error) — report it as a failed target.
-      ++total_errors;
-      if (json) {
-        Json j = Json::Object();
-        j.Set("plan", Json::Str(t.name));
-        j.Set("build_error", Json::Str(t.plan.status().ToString()));
-        all.Append(std::move(j));
-      } else {
-        std::printf("== %s (%s) ==\nbuild failed: %s\n\n", t.name.c_str(),
-                    t.title.c_str(), t.plan.status().ToString().c_str());
-      }
+      // builder error).
+      report.Fail(std::move(entry), "build_error", "build", plan.status());
       continue;
     }
-    const analysis::AnalysisReport report =
-        analysis::AnalyzePlan(*t.plan, options);
-    const size_t errors = report.NumErrors();
-    total_errors += errors;
-    total_warnings +=
-        report.CountAtLeast(analysis::Severity::kWarning) - errors;
+    const analysis::AnalysisReport findings =
+        analysis::AnalyzePlan(*plan, options);
     if (json) {
-      Json j = Json::Object();
-      j.Set("plan", Json::Str(t.name));
-      j.Set("report", report.ToJson());
-      if (dataflow) {
-        const analysis::AnalysisContext ctx =
-            analysis::AnalysisContext::Make(*t.plan, &*cluster);
-        j.Set("properties", ctx.props->ToJson(*t.plan));
-      }
-      all.Append(std::move(j));
+      entry.Set("report", findings.ToJson());
     } else {
-      std::printf("== %s (%s) ==\n%s\n", t.name.c_str(), t.title.c_str(),
-                  report.ToString().c_str());
-      if (dataflow) {
-        const analysis::AnalysisContext ctx =
-            analysis::AnalysisContext::Make(*t.plan, &*cluster);
+      std::printf("%s\n", findings.ToString().c_str());
+    }
+    if (dataflow) {
+      const analysis::AnalysisContext ctx =
+          analysis::AnalysisContext::Make(*plan, &*cluster);
+      if (json) {
+        entry.Set("properties", ctx.props->ToJson(*plan));
+      } else {
         std::printf("derived properties:\n%s\n",
-                    ctx.props->ToString(*t.plan).c_str());
+                    ctx.props->ToString(*plan).c_str());
       }
     }
+    report.Close(std::move(entry), findings);
   }
-  if (json) {
-    Json out = Json::Object();
-    out.Set("plans", std::move(all));
-    out.Set("errors", Json::Int(static_cast<int64_t>(total_errors)));
-    out.Set("warnings", Json::Int(static_cast<int64_t>(total_warnings)));
-    std::printf("%s\n", out.Dump(2).c_str());
-  } else {
-    std::printf("analyzed %zu plan%s: %zu error%s, %zu warning%s\n",
-                targets.size(), targets.size() == 1 ? "" : "s",
-                total_errors, total_errors == 1 ? "" : "s", total_warnings,
-                total_warnings == 1 ? "" : "s");
-  }
-  if (total_errors > 0) return 1;
-  if (strict && total_warnings > 0) return 1;
-  return 0;
+  return report.Finish("analyzed", strict);
 }
 
-// --- diagnose subcommand -------------------------------------------------
-
-int DiagnoseUsage() {
-  std::fprintf(stderr,
-               "usage: pdspbench diagnose (<app-abbrev>|<structure>|all) "
-               "[--parallelism=N] [--rate=N]\n"
-               "                 [--cluster=m510|c6525|c6320|mixed] "
-               "[--nodes=N] [--duration=S] [--seed=N]\n"
-               "                 [--json] [--explain]\n");
-  return 2;
-}
-
+/// `diagnose`: simulates each plan, then runs the runtime bottleneck
+/// diagnosis (pdsp::obs::DiagnoseRun): latency breakdown, weighted critical
+/// path and PDSP-R### findings with fix hints. `all` is the 14 apps. Exits
+/// 1 on an error-severity finding (saturation) or a failed target.
 int DiagnoseMain(int argc, char** argv) {
-  std::string target;
   std::string cluster_name = "m510";
   int nodes = 10;
   int parallelism = 8;
@@ -453,155 +322,67 @@ int DiagnoseMain(int argc, char** argv) {
   uint64_t seed = 42;
   bool json = false;
   bool explain = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--explain") == 0) {
-      explain = true;
-    } else if (ParseArg(argv[i], "cluster", &cluster_name)) {
-    } else if (ParseArg(argv[i], "nodes", &value)) {
-      if (!ParseNumber("nodes", value, &nodes)) return 2;
-    } else if (ParseArg(argv[i], "parallelism", &value)) {
-      if (!ParseNumber("parallelism", value, &parallelism)) return 2;
-    } else if (ParseArg(argv[i], "rate", &value)) {
-      if (!ParseNumber("rate", value, &rate)) return 2;
-    } else if (ParseArg(argv[i], "duration", &value)) {
-      if (!ParseNumber("duration", value, &duration)) return 2;
-    } else if (ParseArg(argv[i], "seed", &value)) {
-      if (!ParseNumber("seed", value, &seed)) return 2;
-    } else if (argv[i][0] != '-' && target.empty()) {
-      target = argv[i];
-    } else {
-      std::fprintf(stderr, "unknown diagnose argument: %s\n", argv[i]);
-      return DiagnoseUsage();
-    }
-  }
-  if (target.empty() || nodes < 1 || parallelism < 1 || rate <= 0 ||
+  const FlagTable table{
+      "pdspbench diagnose (<abbrev>|<structure>|all)", 1,
+      {{"json", &json, "print one JSON document"},
+       {"explain", &explain, "add the per-operator component table"},
+       {"cluster", &cluster_name, "NAME", kClusterHelp},
+       {"nodes", &nodes, "N", "cluster size"},
+       {"parallelism", &parallelism, "N", "degree for all operators"},
+       {"rate", &rate, "N", "per-source event rate (events/s)"},
+       {"duration", &duration, "S", "generation horizon in seconds (> 0.5)"},
+       {"seed", &seed, "N", "simulation seed"}}};
+  std::vector<std::string> positionals;
+  if (!table.Parse(argc, argv, &positionals)) return 2;
+  if (positionals.empty() || nodes < 1 || parallelism < 1 || rate <= 0 ||
       duration <= 0.5) {
-    return DiagnoseUsage();
+    return table.Usage();
   }
   auto cluster = MakeCluster(cluster_name, nodes);
   if (!cluster.ok()) {
     std::fprintf(stderr, "%s\n", cluster.status().ToString().c_str());
     return 2;
   }
+  const std::vector<const Benchmark*> targets =
+      SelectBenchmarks(positionals[0], /*all_structures=*/false, "diagnose");
+  if (targets.empty()) return 2;
 
-  std::vector<AnalyzeTarget> targets;
-  if (target == "all") {
-    for (const AppInfo& info : AllApps()) {
-      targets.push_back({info.abbrev, info.name,
-                         BuildAppPlan(info.id, rate, parallelism)});
-    }
-  } else if (auto id = FindAppByAbbrev(target); id.ok()) {
-    targets.push_back({target, GetAppInfo(*id).name,
-                       BuildAppPlan(*id, rate, parallelism)});
-  } else {
-    bool found = false;
-    for (SyntheticStructure s : AllSyntheticStructures()) {
-      if (target == SyntheticStructureToString(s)) {
-        targets.push_back({target, std::string("synthetic ") + target,
-                           BuildStructurePlan(s, rate, parallelism)});
-        found = true;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr,
-                   "unknown diagnose target '%s' (use --list for the "
-                   "catalog)\n",
-                   target.c_str());
-      return 2;
-    }
-  }
-
-  size_t total_errors = 0;
-  size_t total_warnings = 0;
-  Json all = Json::Array();
-  for (AnalyzeTarget& t : targets) {
-    if (!t.plan.ok()) {
-      ++total_errors;
-      if (json) {
-        Json j = Json::Object();
-        j.Set("plan", Json::Str(t.name));
-        j.Set("error", Json::Str(t.plan.status().ToString()));
-        all.Append(std::move(j));
-      } else {
-        std::printf("== %s (%s) ==\nbuild failed: %s\n\n", t.name.c_str(),
-                    t.title.c_str(), t.plan.status().ToString().c_str());
-      }
-      continue;
-    }
-    ExecutionOptions exec;
-    exec.sim.duration_s = duration;
-    exec.sim.warmup_s = duration * 0.2;
-    exec.sim.seed = seed;
-    exec.sim.attribute_latency = true;
-    auto run = ExecutePlan(*t.plan, *cluster, exec);
-    if (!run.ok()) {
-      ++total_errors;
-      if (json) {
-        Json j = Json::Object();
-        j.Set("plan", Json::Str(t.name));
-        j.Set("error", Json::Str(run.status().ToString()));
-        all.Append(std::move(j));
-      } else {
-        std::printf("== %s (%s) ==\nrun failed: %s\n\n", t.name.c_str(),
-                    t.title.c_str(), run.status().ToString().c_str());
-      }
-      continue;
-    }
-    auto diag = obs::DiagnoseRun(*t.plan, *cluster, *run);
+  ExecutionOptions exec;
+  exec.sim.duration_s = duration;
+  exec.sim.warmup_s = duration * 0.2;
+  exec.sim.seed = seed;
+  exec.sim.attribute_latency = true;
+  TargetReport report(json);
+  for (const Benchmark* b : targets) {
+    Json entry = report.Open(*b);
+    const Result<LogicalPlan> plan = b->make_plan(rate, parallelism);
+    const Result<SimResult> run =
+        plan.ok() ? ExecutePlan(*plan, *cluster, exec)
+                  : Result<SimResult>(plan.status());
+    const Result<obs::Diagnosis> diag =
+        run.ok() ? obs::DiagnoseRun(*plan, *cluster, *run)
+                 : Result<obs::Diagnosis>(run.status());
     if (!diag.ok()) {
-      ++total_errors;
-      if (json) {
-        Json j = Json::Object();
-        j.Set("plan", Json::Str(t.name));
-        j.Set("error", Json::Str(diag.status().ToString()));
-        all.Append(std::move(j));
-      } else {
-        std::printf("== %s (%s) ==\ndiagnosis failed: %s\n\n",
-                    t.name.c_str(), t.title.c_str(),
-                    diag.status().ToString().c_str());
-      }
+      report.Fail(std::move(entry), "error",
+                  !plan.ok() ? "build" : !run.ok() ? "run" : "diagnosis",
+                  diag.status());
       continue;
     }
-    const size_t errors = diag->report.NumErrors();
-    total_errors += errors;
-    total_warnings +=
-        diag->report.CountAtLeast(analysis::Severity::kWarning) - errors;
     if (json) {
-      Json j = Json::Object();
-      j.Set("plan", Json::Str(t.name));
-      j.Set("median_latency_s", Json::Number(run->median_latency_s));
-      j.Set("throughput_tps", Json::Number(run->throughput_tps));
-      j.Set("diagnosis", diag->ToJson());
-      all.Append(std::move(j));
+      entry.Set("median_latency_s", Json::Number(run->median_latency_s));
+      entry.Set("throughput_tps", Json::Number(run->throughput_tps));
+      entry.Set("diagnosis", diag->ToJson());
     } else {
-      std::printf("== %s (%s) ==\nmeasured: %s\n%s\n", t.name.c_str(),
-                  t.title.c_str(), run->Summary().c_str(),
+      std::printf("measured: %s\n%s\n", run->Summary().c_str(),
                   explain ? diag->Explain(*run).c_str()
                           : diag->ToString().c_str());
     }
+    report.Close(std::move(entry), diag->report);
   }
-  if (json) {
-    Json out = Json::Object();
-    out.Set("plans", std::move(all));
-    out.Set("errors", Json::Int(static_cast<int64_t>(total_errors)));
-    out.Set("warnings", Json::Int(static_cast<int64_t>(total_warnings)));
-    std::printf("%s\n", out.Dump(2).c_str());
-  } else {
-    std::printf("diagnosed %zu plan%s: %zu error%s, %zu warning%s\n",
-                targets.size(), targets.size() == 1 ? "" : "s", total_errors,
-                total_errors == 1 ? "" : "s", total_warnings,
-                total_warnings == 1 ? "" : "s");
-  }
-  return total_errors > 0 ? 1 : 0;
+  return report.Finish("diagnosed", /*warnings_fail=*/false);
 }
 
 // --- history / compare / baseline subcommands ----------------------------
-
-constexpr char kDefaultLedgerPath[] = "results/ledger.jsonl";
-constexpr char kDefaultBaselineDir[] = "bench/baselines";
 
 /// RFC-4180 CSV field: quoted (with doubled inner quotes) only when the
 /// value contains a delimiter, quote or newline, so plain numeric fields
@@ -617,46 +398,30 @@ std::string CsvField(const std::string& value) {
   return out;
 }
 
-int HistoryUsage() {
-  std::fprintf(stderr,
-               "usage: pdspbench history [<label>|all] [--ledger=PATH] "
-               "[--app=NAME] [--limit=N]\n"
-               "                 [--json] [--format=table|csv]\n"
-               "  --app filters by the label's app part (label up to the "
-               "first '/'),\n"
-               "  so 'history --app=WC' matches WC, WC/p4, WC/p8, ...\n"
-               "  --format=csv streams the selection as RFC-4180 CSV (one "
-               "header row) for\n"
-               "  spreadsheets and scripts; --json keeps the full records.\n");
-  return 2;
-}
-
+/// `history`: the newest run-ledger records (src/obs/ledger.h), as a
+/// table, CSV or JSON.
 int HistoryMain(int argc, char** argv) {
-  std::string target;
   std::string ledger_path = kDefaultLedgerPath;
   std::string app_filter;
   std::string format = "table";
   size_t limit = 20;
   bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (ParseArg(argv[i], "ledger", &ledger_path)) {
-    } else if (ParseArg(argv[i], "app", &app_filter)) {
-    } else if (ParseArg(argv[i], "format", &format)) {
-    } else if (ParseArg(argv[i], "limit", &value)) {
-      if (!ParseNumber("limit", value, &limit)) return 2;
-    } else if (argv[i][0] != '-' && target.empty()) {
-      target = argv[i];
-    } else {
-      std::fprintf(stderr, "unknown history argument: %s\n", argv[i]);
-      return HistoryUsage();
-    }
-  }
-  if (target.empty()) target = "all";  // --app alone scopes large ledgers
+  const FlagTable table{
+      "pdspbench history [<label>|all]", 1,
+      {{"json", &json, "print the full records as JSON"},
+       {"ledger", &ledger_path, "PATH", "run ledger to read"},
+       {"app", &app_filter, "NAME",
+        "keep labels whose app part (up to the first '/') is NAME: WC "
+        "matches WC, WC/p4, ..."},
+       {"limit", &limit, "N", "newest records to show"},
+       {"format", &format, "table|csv",
+        "csv: RFC-4180 with one header row, for spreadsheets and scripts"}}};
+  std::vector<std::string> positionals;
+  if (!table.Parse(argc, argv, &positionals)) return 2;
+  // No label means all of them, so --app alone scopes a large ledger.
+  const std::string target = positionals.empty() ? "all" : positionals[0];
   if (limit < 1 || (format != "table" && format != "csv")) {
-    return HistoryUsage();
+    return table.Usage();
   }
   auto records = obs::RunLedger(ledger_path).Load();
   if (!records.ok()) {
@@ -757,38 +522,26 @@ int HistoryMain(int argc, char** argv) {
   return 0;
 }
 
-int CompareUsage() {
-  std::fprintf(stderr,
-               "usage: pdspbench compare <baseline> <candidate> "
-               "[--ledger=PATH] [--threshold=F]\n"
-               "                 [--sigmas=F] [--json]\n"
-               "  record specs: label | label~N | run id | unique >=4-char "
-               "run-id prefix\n");
-  return 2;
-}
-
+/// `compare`: the noise-aware comparison of two ledger records. Exits 1
+/// when any metric regressed.
 int CompareMain(int argc, char** argv) {
-  std::vector<std::string> specs;
   std::string ledger_path = kDefaultLedgerPath;
   obs::CompareOptions options;
   bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (ParseArg(argv[i], "ledger", &ledger_path)) {
-    } else if (ParseArg(argv[i], "threshold", &value)) {
-      if (!ParseNumber("threshold", value, &options.threshold)) return 2;
-    } else if (ParseArg(argv[i], "sigmas", &value)) {
-      if (!ParseNumber("sigmas", value, &options.noise_sigmas)) return 2;
-    } else if (argv[i][0] != '-') {
-      specs.push_back(argv[i]);
-    } else {
-      std::fprintf(stderr, "unknown compare argument: %s\n", argv[i]);
-      return CompareUsage();
-    }
-  }
-  if (specs.size() != 2 || options.threshold <= 0) return CompareUsage();
+  const FlagTable table{
+      "pdspbench compare <baseline> <candidate>\n"
+      "  (a record is a label, label~N for the Nth-latest, a run id or a "
+      "unique >=4-char run-id prefix)",
+      2,
+      {{"json", &json, "print the report as JSON"},
+       {"ledger", &ledger_path, "PATH", "run ledger to read"},
+       {"threshold", &options.threshold, "F",
+        "minimum relative change that counts"},
+       {"sigmas", &options.noise_sigmas, "F",
+        "combined repeat stddevs a change must also exceed (<= 0: off)"}}};
+  std::vector<std::string> specs;
+  if (!table.Parse(argc, argv, &specs)) return 2;
+  if (specs.size() != 2 || options.threshold <= 0) return table.Usage();
   auto records = obs::RunLedger(ledger_path).Load();
   if (!records.ok()) {
     std::fprintf(stderr, "%s\n", records.status().ToString().c_str());
@@ -813,32 +566,6 @@ int CompareMain(int argc, char** argv) {
   return report.HasRegressions() ? 1 : 0;
 }
 
-int BaselineUsage() {
-  std::fprintf(stderr,
-               "usage: pdspbench baseline write (<abbrev>|<structure>|all) "
-               "[--dir=DIR] [--ledger=PATH]\n"
-               "                 [--parallelism=N] [--rate=N] "
-               "[--cluster=NAME] [--nodes=N] [--repeats=N]\n"
-               "                 [--duration=S] [--seed=N]\n"
-               "       pdspbench baseline check (<abbrev>|<structure>|all) "
-               "[--dir=DIR] [--ledger=PATH]\n"
-               "                 [--threshold=F] [--sigmas=F] [--json]\n");
-  return 2;
-}
-
-Result<LogicalPlan> BuildPlanByLabel(const std::string& label, double rate,
-                                     int parallelism) {
-  if (auto id = FindAppByAbbrev(label); id.ok()) {
-    return BuildAppPlan(*id, rate, parallelism);
-  }
-  for (SyntheticStructure s : AllSyntheticStructures()) {
-    if (label == SyntheticStructureToString(s)) {
-      return BuildStructurePlan(s, rate, parallelism);
-    }
-  }
-  return Status::NotFound("unknown app/structure '" + label + "'");
-}
-
 std::string BaselineFilePath(const std::string& dir,
                              const std::string& label) {
   std::string name = label;
@@ -846,22 +573,36 @@ std::string BaselineFilePath(const std::string& dir,
   return dir + "/" + name + ".json";
 }
 
-/// Measures `label` under `protocol` and returns the cell's ledger record.
-Result<obs::RunRecord> MeasureForLedger(const std::string& label,
-                                        double rate, int parallelism,
-                                        const Cluster& cluster,
-                                        RunProtocol protocol) {
-  Result<LogicalPlan> plan = BuildPlanByLabel(label, rate, parallelism);
-  PDSP_RETURN_NOT_OK(plan.status());
+/// Measures catalog entry `label` under `protocol`, appending the cell's
+/// record to the ledger at `ledger_path`, and returns that record.
+Result<obs::RunRecord> MeasureForLedger(const std::string& label, double rate,
+                                        int parallelism,
+                                        const std::string& cluster_name,
+                                        int nodes, RunProtocol protocol,
+                                        const std::string& ledger_path) {
+  PDSP_ASSIGN_OR_RETURN(Cluster cluster, MakeCluster(cluster_name, nodes));
+  const Benchmark* benchmark = FindBenchmark(label);
+  if (benchmark == nullptr) {
+    return Status::NotFound("unknown app/structure '" + label + "'");
+  }
+  PDSP_ASSIGN_OR_RETURN(LogicalPlan plan,
+                        benchmark->make_plan(rate, parallelism));
   protocol.label = label;
+  protocol.ledger.enabled = true;
+  protocol.ledger.path = ledger_path;
+  protocol.ledger.cluster_name = cluster_name;
   PDSP_ASSIGN_OR_RETURN(CellResult cell,
-                        MeasureCell(*plan, cluster, protocol));
+                        MeasureCell(plan, cluster, protocol));
   return cell.ledger_record;
 }
 
+/// `baseline write` measures the target(s) and stores each RunRecord as
+/// <dir>/<label>.json (also appended to the ledger); `baseline check`
+/// re-measures with each baseline's recorded protocol (seed, repeats,
+/// rate, parallelism, cluster) and compares, the core of
+/// tools/bench_gate.sh. Exits 2 when a target fails and, for check, 1 on a
+/// regression beyond the threshold.
 int BaselineMain(int argc, char** argv) {
-  std::string verb;
-  std::string target;
   std::string dir = kDefaultBaselineDir;
   std::string ledger_path = kDefaultLedgerPath;
   std::string cluster_name = "m510";
@@ -873,65 +614,54 @@ int BaselineMain(int argc, char** argv) {
   uint64_t seed = 2024;
   obs::CompareOptions options;
   bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (ParseArg(argv[i], "dir", &dir) ||
-               ParseArg(argv[i], "ledger", &ledger_path) ||
-               ParseArg(argv[i], "cluster", &cluster_name)) {
-    } else if (ParseArg(argv[i], "nodes", &value)) {
-      if (!ParseNumber("nodes", value, &nodes)) return 2;
-    } else if (ParseArg(argv[i], "parallelism", &value)) {
-      if (!ParseNumber("parallelism", value, &parallelism)) return 2;
-    } else if (ParseArg(argv[i], "rate", &value)) {
-      if (!ParseNumber("rate", value, &rate)) return 2;
-    } else if (ParseArg(argv[i], "repeats", &value)) {
-      if (!ParseNumber("repeats", value, &repeats)) return 2;
-    } else if (ParseArg(argv[i], "duration", &value)) {
-      if (!ParseNumber("duration", value, &duration)) return 2;
-    } else if (ParseArg(argv[i], "seed", &value)) {
-      if (!ParseNumber("seed", value, &seed)) return 2;
-    } else if (ParseArg(argv[i], "threshold", &value)) {
-      if (!ParseNumber("threshold", value, &options.threshold)) return 2;
-    } else if (ParseArg(argv[i], "sigmas", &value)) {
-      if (!ParseNumber("sigmas", value, &options.noise_sigmas)) return 2;
-    } else if (argv[i][0] != '-' && verb.empty()) {
-      verb = argv[i];
-    } else if (argv[i][0] != '-' && target.empty()) {
-      target = argv[i];
-    } else {
-      std::fprintf(stderr, "unknown baseline argument: %s\n", argv[i]);
-      return BaselineUsage();
-    }
-  }
-  if ((verb != "write" && verb != "check") || target.empty() ||
+  const FlagTable table{
+      "pdspbench baseline (write|check) (<abbrev>|<structure>|all)\n"
+      "  (check all: every baseline under --dir)",
+      2,
+      {{"json", &json, "check: print one JSON document"},
+       {"dir", &dir, "DIR", "baseline directory"},
+       {"ledger", &ledger_path, "PATH", "run ledger to append to"},
+       {"cluster", &cluster_name, "NAME",
+        "write: m510 | c6525 | c6320 | mixed"},
+       {"nodes", &nodes, "N", "write: cluster size"},
+       {"parallelism", &parallelism, "N", "write: degree for all operators"},
+       {"rate", &rate, "N", "write: per-source event rate (events/s)"},
+       {"repeats", &repeats, "N", "write: runs per measurement"},
+       {"duration", &duration, "S", "write: generation horizon (> 0.5)"},
+       {"seed", &seed, "N", "write: simulation seed"},
+       {"threshold", &options.threshold, "F",
+        "check: minimum relative change that counts"},
+       {"sigmas", &options.noise_sigmas, "F",
+        "check: combined repeat stddevs a change must also exceed"}}};
+  std::vector<std::string> positionals;
+  if (!table.Parse(argc, argv, &positionals)) return 2;
+  const std::string verb = positionals.empty() ? "" : positionals[0];
+  if ((verb != "write" && verb != "check") || positionals.size() < 2 ||
       parallelism < 1 || nodes < 1 || rate <= 0 || repeats < 1 ||
       duration <= 0.5 || options.threshold <= 0) {
-    return BaselineUsage();
+    return table.Usage();
   }
+  const std::string& target = positionals[1];
 
   std::vector<std::string> labels;
-  if (target == "all") {
-    if (verb == "write") {
-      for (const AppInfo& info : AllApps()) labels.push_back(info.abbrev);
-      for (SyntheticStructure s : AllSyntheticStructures()) {
-        labels.push_back(SyntheticStructureToString(s));
+  if (verb == "write") {
+    for (const Benchmark* b : SelectBenchmarks(
+             target, /*all_structures=*/true, "baseline write")) {
+      labels.push_back(b->name);
+    }
+    if (labels.empty()) return 2;
+  } else if (target == "all") {
+    // check all = every stored baseline file.
+    std::error_code ec;
+    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+      if (entry.path().extension() == ".json") {
+        labels.push_back(entry.path().stem().string());
       }
-    } else {
-      // check all = every stored baseline file.
-      std::error_code ec;
-      for (const auto& entry :
-           std::filesystem::directory_iterator(dir, ec)) {
-        if (entry.path().extension() == ".json") {
-          labels.push_back(entry.path().stem().string());
-        }
-      }
-      std::sort(labels.begin(), labels.end());
-      if (labels.empty()) {
-        std::fprintf(stderr, "no baselines under %s\n", dir.c_str());
-        return 2;
-      }
+    }
+    std::sort(labels.begin(), labels.end());
+    if (labels.empty()) {
+      std::fprintf(stderr, "no baselines under %s\n", dir.c_str());
+      return 2;
     }
   } else {
     labels.push_back(target);
@@ -941,34 +671,27 @@ int BaselineMain(int argc, char** argv) {
   size_t regressed_metrics = 0;
   Json all = Json::Array();
   for (const std::string& label : labels) {
+    const std::string path = BaselineFilePath(dir, label);
+    const auto fail = [&](const Status& status) {
+      std::fprintf(stderr, "baseline %s %s: %s\n", verb.c_str(),
+                   label.c_str(), status.ToString().c_str());
+      ++failures;
+    };
     if (verb == "write") {
-      auto cluster = MakeCluster(cluster_name, nodes);
-      if (!cluster.ok()) {
-        std::fprintf(stderr, "%s\n", cluster.status().ToString().c_str());
-        return 2;
-      }
       RunProtocol protocol;
       protocol.repeats = repeats;
       protocol.duration_s = duration;
       protocol.warmup_s = duration * 0.25;
       protocol.seed = seed;
-      protocol.ledger.enabled = true;
-      protocol.ledger.path = ledger_path;
-      protocol.ledger.cluster_name = cluster_name;
-      auto record =
-          MeasureForLedger(label, rate, parallelism, *cluster, protocol);
+      auto record = MeasureForLedger(label, rate, parallelism, cluster_name,
+                                     nodes, protocol, ledger_path);
       if (!record.ok()) {
-        std::fprintf(stderr, "baseline write %s: %s\n", label.c_str(),
-                     record.status().ToString().c_str());
-        ++failures;
+        fail(record.status());
         continue;
       }
-      const std::string path = BaselineFilePath(dir, label);
       Status st = WriteTextFileAtomic(path, record->ToJson().Dump(2) + "\n");
       if (!st.ok()) {
-        std::fprintf(stderr, "baseline write %s: %s\n", label.c_str(),
-                     st.ToString().c_str());
-        ++failures;
+        fail(st);
         continue;
       }
       std::printf("baseline %s: p50 %.2f ms, tput %.0f t/s -> %s\n",
@@ -977,50 +700,35 @@ int BaselineMain(int argc, char** argv) {
       continue;
     }
 
-    // check
-    const std::string path = BaselineFilePath(dir, label);
     auto text = ReadTextFile(path);
     if (!text.ok()) {
-      std::fprintf(stderr, "baseline check %s: %s\n", label.c_str(),
-                   text.status().ToString().c_str());
-      ++failures;
+      fail(text.status());
       continue;
     }
     auto parsed = Json::Parse(*text);
     Result<obs::RunRecord> base = Status::Internal("unparsed");
     if (parsed.ok()) base = obs::RunRecord::FromJson(*parsed);
     if (!parsed.ok() || !base.ok()) {
-      std::fprintf(stderr, "baseline check %s: %s\n", label.c_str(),
-                   (!parsed.ok() ? parsed.status() : base.status())
-                       .ToString()
-                       .c_str());
-      ++failures;
+      fail(!parsed.ok() ? parsed.status() : base.status());
       continue;
     }
     // Re-measure with the baseline's recorded protocol so the comparison is
     // bit-for-bit re-executable: same seed, repeats, rate, parallelism and
     // cluster preset.
-    auto cluster = MakeCluster(base->cluster, base->nodes);
-    if (!cluster.ok()) {
-      std::fprintf(stderr, "baseline check %s: %s\n", label.c_str(),
-                   cluster.status().ToString().c_str());
-      ++failures;
-      continue;
-    }
     RunProtocol protocol;
     protocol.repeats = base->repeats;
     protocol.duration_s = base->duration_s;
     protocol.warmup_s = base->warmup_s;
-    protocol.seed = std::strtoull(base->seed.c_str(), nullptr, 10);
-    protocol.ledger.enabled = true;
-    protocol.ledger.path = ledger_path;
-    protocol.ledger.cluster_name = base->cluster;
-    auto record = MeasureForLedger(base->label, base->event_rate,
-                                   base->parallelism, *cluster, protocol);
+    if (!ParseNumber(base->seed, &protocol.seed)) {
+      fail(Status::InvalidArgument("invalid recorded seed '" + base->seed +
+                                   "'"));
+      continue;
+    }
+    auto record =
+        MeasureForLedger(base->label, base->event_rate, base->parallelism,
+                         base->cluster, base->nodes, protocol, ledger_path);
     if (!record.ok()) {
-      std::fprintf(stderr, "baseline check %s: %s\n", label.c_str(),
-                   record.status().ToString().c_str());
-      ++failures;
+      fail(record.status());
       continue;
     }
     const obs::ComparisonReport report =
@@ -1046,52 +754,31 @@ int BaselineMain(int argc, char** argv) {
 
 // --- report subcommand ---------------------------------------------------
 
-int ReportUsage() {
-  std::fprintf(stderr,
-               "usage: pdspbench report <ledger.jsonl|artifact-dir|"
-               "record.json> [--out=PATH]\n"
-               "                 [--against=PATH] [--app=NAME] [--limit=N] "
-               "[--title=S]\n"
-               "                 [--threshold=F] [--sigmas=F]\n"
-               "  renders one self-contained HTML file (inline SVG, no JS) "
-               "with throughput,\n"
-               "  latency-percentile and latency-breakdown charts per app, "
-               "a sweep heatmap,\n"
-               "  critical paths from diagnosis.json bundles, and — with "
-               "--against — a\n"
-               "  noise-aware comparison against a baseline ledger.\n");
-  return 2;
-}
-
+/// `report`: one self-contained HTML file (inline SVG, no JS) with
+/// throughput, latency-percentile and latency-breakdown charts per app, a
+/// sweep heatmap, critical paths from diagnosis.json bundles and, with
+/// --against, a noise-aware comparison against a baseline ledger.
 int ReportMain(int argc, char** argv) {
-  std::string input;
   std::string out_path = "report.html";
   obs::ReportOptions options;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ParseArg(argv[i], "out", &out_path) ||
-        ParseArg(argv[i], "against", &options.against_path) ||
-        ParseArg(argv[i], "app", &options.app_filter) ||
-        ParseArg(argv[i], "title", &options.title)) {
-    } else if (ParseArg(argv[i], "limit", &value)) {
-      if (!ParseNumber("limit", value, &options.limit)) return 2;
-    } else if (ParseArg(argv[i], "threshold", &value)) {
-      if (!ParseNumber("threshold", value, &options.compare.threshold)) {
-        return 2;
-      }
-    } else if (ParseArg(argv[i], "sigmas", &value)) {
-      if (!ParseNumber("sigmas", value, &options.compare.noise_sigmas)) {
-        return 2;
-      }
-    } else if (argv[i][0] != '-' && input.empty()) {
-      input = argv[i];
-    } else {
-      std::fprintf(stderr, "unknown report argument: %s\n", argv[i]);
-      return ReportUsage();
-    }
+  const FlagTable table{
+      "pdspbench report <ledger.jsonl|artifact-dir|record.json>", 1,
+      {{"out", &out_path, "PATH", "HTML file to write"},
+       {"against", &options.against_path, "PATH",
+        "baseline ledger or record to compare against"},
+       {"app", &options.app_filter, "NAME", "keep one app's records"},
+       {"limit", &options.limit, "N", "newest records per app (0 = all)"},
+       {"title", &options.title, "S", "report title"},
+       {"threshold", &options.compare.threshold, "F",
+        "--against: minimum relative change that counts"},
+       {"sigmas", &options.compare.noise_sigmas, "F",
+        "--against: combined repeat stddevs a change must also exceed"}}};
+  std::vector<std::string> positionals;
+  if (!table.Parse(argc, argv, &positionals)) return 2;
+  if (positionals.empty() || options.compare.threshold <= 0) {
+    return table.Usage();
   }
-  if (input.empty() || options.compare.threshold <= 0) return ReportUsage();
-  auto stats = obs::WriteReportFile(input, out_path, options);
+  auto stats = obs::WriteReportFile(positionals[0], out_path, options);
   if (!stats.ok()) {
     std::fprintf(stderr, "report: %s\n", stats.status().ToString().c_str());
     return 2;
@@ -1106,74 +793,92 @@ int ReportMain(int argc, char** argv) {
   return 0;
 }
 
-// --- parallelism sweep mode ----------------------------------------------
+// --- plain run and parallelism sweep -------------------------------------
 
-// `--parallelism=2,8,32` fans one cell per degree across --jobs workers via
-// the exec sweep scheduler; per-cell results are bit-identical to --jobs=1.
-int RunParallelismSweep(const Args& args, const Cluster& cluster,
-                        PlacementKind placement) {
-  const std::string selection = !args.app.empty()
-                                    ? args.app
-                                    : (!args.structure.empty()
-                                           ? args.structure
-                                           : args.load);
+/// \brief The plain run's and the sweep's flags.
+struct Args {
+  std::string app;
+  std::string structure;
+  double rate = 100000.0;
+  /// --parallelism; more than one degree switches to sweep mode.
+  std::vector<int> degrees = {8};
+  /// Sweep worker threads (--jobs; 0 = one per hardware thread).
+  int jobs = 1;
+  std::string cluster = "m510";
+  int nodes = 10;
+  double duration = 5.0;
+  uint64_t seed = 42;
+  std::string placement = "least_loaded";
+  std::string save;
+  std::string load;
+  std::string store_dir = "runs";
+  std::string ledger;  ///< when set, append this run's RunRecord here
+  /// --profile[=HZ]: sampling CPU profiler (bare flag keeps the default
+  /// cadence). Profiling never perturbs virtual-time results.
+  bool profile_set = false;
+  double profile_hz = 97.0;
+  /// --mem-profile[=KiB]: sampling allocation profiler (bare flag keeps the
+  /// default 512 KiB sampling interval). Like --profile, it only observes
+  /// host-side state, so virtual-time results stay bit-identical.
+  bool mem_profile_set = false;
+  double mem_interval_kib = 512.0;
+  /// --artifacts=DIR: write per-run artifact bundles (metrics.json,
+  /// profile.json, ...) under DIR (sweeps: DIR/<cell-label>/).
+  std::string artifacts;
+  /// --progress[=plain|rich|off|auto]: live sweep monitoring; without the
+  /// flag (and without --progress-file) the monitor is off.
+  std::string progress;
+  bool progress_set = false;
+  /// --progress-file=PATH: append every monitor snapshot here (JSONL).
+  std::string progress_file;
+  bool list = false;
+  bool allow_invalid = false;
+};
+
+/// The run flags as a one-repeat measurement protocol: the sweep's cells
+/// measure under it, and the plain run records its ledger entry with it.
+RunProtocol MakeRunProtocol(const Args& args, PlacementKind placement) {
   RunProtocol protocol;
   protocol.repeats = 1;
   protocol.duration_s = args.duration;
   protocol.warmup_s = args.duration * 0.2;
   protocol.seed = args.seed;
   protocol.placement = placement;
-  protocol.label = selection;
+  protocol.label = !args.app.empty()         ? args.app
+                   : !args.structure.empty() ? args.structure
+                                             : args.load;
   protocol.allow_invalid = args.allow_invalid;
+  if (!args.artifacts.empty()) {
+    protocol.obs.enabled = true;
+    protocol.obs.dir = args.artifacts;
+  }
   if (!args.ledger.empty()) {
     protocol.ledger.enabled = true;
     protocol.ledger.path = args.ledger;
     protocol.ledger.cluster_name = args.cluster;
   }
-  if (args.profile_set) {
-    protocol.profile.enabled = true;
-    protocol.profile.hz = args.profile_hz;
-  }
-  if (args.mem_profile_set) {
-    protocol.mem.enabled = true;
-    protocol.mem.sample_interval_bytes =
-        static_cast<int64_t>(args.mem_interval_kib * 1024.0);
-  }
+  protocol.profile.enabled = args.profile_set;
+  protocol.profile.hz = args.profile_hz;
+  protocol.mem.enabled = args.mem_profile_set;
+  protocol.mem.sample_interval_bytes =
+      static_cast<int64_t>(args.mem_interval_kib * 1024.0);
+  return protocol;
+}
 
+// `--parallelism=2,8,32` fans one cell per degree across --jobs workers via
+// the exec sweep scheduler; per-cell results are bit-identical to --jobs=1.
+// `benchmark` is null for a --load sweep. Exits 1 when a cell fails, 130
+// after Ctrl-C.
+int RunParallelismSweep(const Args& args, const Benchmark* benchmark,
+                        const Cluster& cluster, const RunProtocol& protocol) {
+  const std::string& selection = protocol.label;
   std::vector<exec::SweepCell> cells;
   for (int degree : args.degrees) {
     exec::SweepCell cell;
-    if (!args.app.empty()) {
-      auto id = FindAppByAbbrev(args.app);
-      if (!id.ok()) {
-        std::fprintf(stderr, "%s (use --list)\n",
-                     id.status().ToString().c_str());
-        return 2;
-      }
-      const AppId app = *id;
-      AppOptions opt;
-      opt.event_rate = args.rate;
-      opt.parallelism = degree;
-      cell.make_plan = [app, opt] { return MakeApp(app, opt); };
-    } else if (!args.structure.empty()) {
-      bool found = false;
-      SyntheticStructure structure = SyntheticStructure::kLinear;
-      for (SyntheticStructure s : AllSyntheticStructures()) {
-        if (args.structure == SyntheticStructureToString(s)) {
-          structure = s;
-          found = true;
-        }
-      }
-      if (!found) {
-        std::fprintf(stderr, "unknown structure '%s' (use --list)\n",
-                     args.structure.c_str());
-        return 2;
-      }
-      CanonicalOptions opt;
-      opt.event_rate = args.rate;
-      opt.parallelism = degree;
-      cell.make_plan = [structure, opt] {
-        return MakeCanonicalSynthetic(structure, opt);
+    if (benchmark != nullptr) {
+      const double rate = args.rate;
+      cell.make_plan = [benchmark, rate, degree] {
+        return benchmark->make_plan(rate, degree);
       };
     } else {
       const std::string store_dir = args.store_dir;
@@ -1189,8 +894,7 @@ int RunParallelismSweep(const Args& args, const Cluster& cluster,
     cell.cluster = cluster;
     cell.protocol = protocol;
     cell.label = StrFormat("%s/p%d", selection.c_str(), degree);
-    if (!args.artifacts.empty()) {
-      cell.protocol.obs.enabled = true;
+    if (protocol.obs.enabled) {
       cell.protocol.obs.dir = args.artifacts + "/" + cell.label;
     }
     cells.push_back(std::move(cell));
@@ -1307,169 +1011,24 @@ int RunParallelismSweep(const Args& args, const Cluster& cluster,
   return sweep.NumOk() == sweep.cells.size() ? 0 : 1;
 }
 
-}  // namespace
-
-int Main(int argc, char** argv) {
-  // Stored plans may reference application UDO kinds; make them resolvable
-  // regardless of how the plan is selected (and so the udo-checks analysis
-  // pass sees the full kind registry).
-  RegisterAppUdos();
-  if (argc > 1 && std::strcmp(argv[1], "analyze") == 0) {
-    return AnalyzeMain(argc - 1, argv + 1);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "diagnose") == 0) {
-    return DiagnoseMain(argc - 1, argv + 1);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "history") == 0) {
-    return HistoryMain(argc - 1, argv + 1);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "compare") == 0) {
-    return CompareMain(argc - 1, argv + 1);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "baseline") == 0) {
-    return BaselineMain(argc - 1, argv + 1);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "report") == 0) {
-    return ReportMain(argc - 1, argv + 1);
-  }
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (std::strcmp(argv[i], "--list") == 0) {
-      args.list = true;
-    } else if (std::strcmp(argv[i], "--allow-invalid") == 0) {
-      args.allow_invalid = true;
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
-      args.progress_set = true;  // bare flag: auto (rich on TTY, else plain)
-    } else if (ParseArg(argv[i], "progress", &args.progress)) {
-      args.progress_set = true;
-    } else if (std::strcmp(argv[i], "--profile") == 0) {
-      args.profile_set = true;  // bare flag keeps the default cadence
-    } else if (ParseArg(argv[i], "profile", &value)) {
-      args.profile_set = true;
-      if (!ParseNumber("profile", value, &args.profile_hz)) return 2;
-    } else if (std::strcmp(argv[i], "--mem-profile") == 0) {
-      args.mem_profile_set = true;  // bare flag keeps the default interval
-    } else if (ParseArg(argv[i], "mem-profile", &value)) {
-      args.mem_profile_set = true;
-      if (!ParseNumber("mem-profile", value, &args.mem_interval_kib)) {
-        return 2;
-      }
-    } else if (ParseArg(argv[i], "artifacts", &args.artifacts)) {
-    } else if (ParseArg(argv[i], "progress-file", &args.progress_file)) {
-    } else if (ParseArg(argv[i], "app", &args.app) ||
-               ParseArg(argv[i], "structure", &args.structure) ||
-               ParseArg(argv[i], "cluster", &args.cluster) ||
-               ParseArg(argv[i], "placement", &args.placement) ||
-               ParseArg(argv[i], "save", &args.save) ||
-               ParseArg(argv[i], "load", &args.load) ||
-               ParseArg(argv[i], "store", &args.store_dir) ||
-               ParseArg(argv[i], "ledger", &args.ledger)) {
-      // parsed into the struct
-    } else if (ParseArg(argv[i], "rate", &value)) {
-      if (!ParseNumber("rate", value, &args.rate)) return 2;
-    } else if (ParseArg(argv[i], "parallelism", &value)) {
-      args.degrees.clear();
-      for (const std::string& part : Split(value, ',')) {
-        int degree = 0;
-        if (!ParseNumber("parallelism", part, &degree)) return 2;
-        args.degrees.push_back(degree);
-      }
-      args.parallelism = args.degrees.front();
-    } else if (ParseArg(argv[i], "jobs", &value)) {
-      if (!ParseNumber("jobs", value, &args.jobs)) return 2;
-    } else if (ParseArg(argv[i], "nodes", &value)) {
-      if (!ParseNumber("nodes", value, &args.nodes)) return 2;
-    } else if (ParseArg(argv[i], "duration", &value)) {
-      if (!ParseNumber("duration", value, &args.duration)) return 2;
-    } else if (ParseArg(argv[i], "seed", &value)) {
-      if (!ParseNumber("seed", value, &args.seed)) return 2;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return Usage();
-    }
-  }
-  if (args.list) {
-    PrintCatalog();
-    return 0;
-  }
-  const int selectors = (!args.app.empty() ? 1 : 0) +
-                        (!args.structure.empty() ? 1 : 0) +
-                        (!args.load.empty() ? 1 : 0);
-  if (selectors != 1) {
-    std::fprintf(stderr,
-                 "pass exactly one of --app / --structure / --load\n");
-    return Usage();
-  }
-  bool degrees_ok = !args.degrees.empty();
-  for (int d : args.degrees) degrees_ok = degrees_ok && d >= 1;
-  if (args.rate <= 0 || !degrees_ok || args.nodes < 1 ||
-      args.duration <= 0.5 || (args.profile_set && args.profile_hz <= 0) ||
-      (args.mem_profile_set && args.mem_interval_kib <= 0)) {
-    std::fprintf(stderr, "bad numeric flags\n");
-    return Usage();
-  }
-
-  auto cluster = MakeCluster(args.cluster, args.nodes);
-  auto placement = MakePlacement(args.placement);
-  if (!cluster.ok() || !placement.ok()) {
-    std::fprintf(stderr, "%s\n",
-                 (!cluster.ok() ? cluster.status() : placement.status())
-                     .ToString()
-                     .c_str());
-    return 2;
-  }
-
-  if (args.degrees.size() > 1) {
-    return RunParallelismSweep(args, *cluster, *placement);
-  }
-
-  Result<LogicalPlan> plan = Status::Internal("unreachable");
-  if (!args.load.empty()) {
-    RunStore store(args.store_dir);
-    plan = store.LoadPlan(args.load);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "load: %s\n", plan.status().ToString().c_str());
-      return 1;
-    }
-  } else if (!args.app.empty()) {
-    auto id = FindAppByAbbrev(args.app);
-    if (!id.ok()) {
-      std::fprintf(stderr, "%s (use --list)\n",
-                   id.status().ToString().c_str());
-      return 2;
-    }
-    AppOptions opt;
-    opt.event_rate = args.rate;
-    opt.parallelism = args.parallelism;
-    plan = MakeApp(*id, opt);
-  } else {
-    SyntheticStructure structure = SyntheticStructure::kLinear;
-    bool found = false;
-    for (SyntheticStructure s : AllSyntheticStructures()) {
-      if (args.structure == SyntheticStructureToString(s)) {
-        structure = s;
-        found = true;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "unknown structure '%s' (use --list)\n",
-                   args.structure.c_str());
-      return 2;
-    }
-    CanonicalOptions opt;
-    opt.event_rate = args.rate;
-    opt.parallelism = args.parallelism;
-    plan = MakeCanonicalSynthetic(structure, opt);
-  }
+// One run at a single degree (a --load run keeps the stored plan's),
+// printing the plan, the measurement and per-operator stats. Exits 1 when
+// the plan cannot be loaded, built, validated or run.
+int RunOnce(const Args& args, const Benchmark* benchmark,
+            const Cluster& cluster, const RunProtocol& protocol) {
+  const Result<LogicalPlan> plan =
+      benchmark != nullptr
+          ? benchmark->make_plan(args.rate, args.degrees.front())
+          : RunStore(args.store_dir).LoadPlan(args.load);
   if (!plan.ok()) {
-    std::fprintf(stderr, "plan: %s\n", plan.status().ToString().c_str());
+    std::fprintf(stderr, "%s: %s\n", benchmark != nullptr ? "plan" : "load",
+                 plan.status().ToString().c_str());
     return 1;
   }
 
   // Static-analysis gate (loaded plans bypass PlanBuilder::Build, so the
   // check runs here for every selection path).
-  if (Status check = analysis::CheckPlan(*plan, &*cluster); !check.ok()) {
+  if (Status check = analysis::CheckPlan(*plan, &cluster); !check.ok()) {
     if (args.allow_invalid) {
       std::fprintf(stderr, "warning: %s (continuing: --allow-invalid)\n",
                    check.ToString().c_str());
@@ -1483,32 +1042,24 @@ int Main(int argc, char** argv) {
   }
 
   std::printf("plan:\n%s\n", plan->ToString().c_str());
-  auto analytic = EstimateLatencyAnalytically(*plan, *cluster);
+  auto analytic = EstimateLatencyAnalytically(*plan, cluster);
   if (analytic.ok()) {
     std::printf("analytic estimate: %.1f ms (max utilization %.2f%s)\n\n",
                 analytic->latency_s * 1e3, analytic->max_utilization,
                 analytic->saturated ? ", SATURATED" : "");
   }
 
-  const std::string run_label =
-      !args.app.empty() ? args.app
-                        : (!args.structure.empty() ? args.structure
-                                                   : args.load);
-
   ExecutionOptions exec;
-  exec.placement = *placement;
-  exec.sim.duration_s = args.duration;
-  exec.sim.warmup_s = args.duration * 0.2;
-  exec.sim.seed = args.seed;
+  exec.placement = protocol.placement;
+  exec.sim.duration_s = protocol.duration_s;
+  exec.sim.warmup_s = protocol.warmup_s;
+  exec.sim.seed = protocol.seed;
 
   // --profile: register this thread, sample it across the simulate phase.
   // The profiler only reads wall/CPU clocks, so virtual-time results stay
   // bit-identical to an unprofiled run.
-  obs::prof::ProfOptions prof_options;
-  prof_options.enabled = args.profile_set;
-  prof_options.hz = args.profile_hz;
   std::unique_ptr<obs::prof::ThreadRegistration> prof_registration;
-  obs::prof::Profiler profiler(prof_options);
+  obs::prof::Profiler profiler(protocol.profile);
   if (args.profile_set || args.mem_profile_set) {
     prof_registration =
         std::make_unique<obs::prof::ThreadRegistration>("main");
@@ -1520,11 +1071,7 @@ int Main(int argc, char** argv) {
   }
   // --mem-profile: sample this thread's allocations across the simulate
   // phase, attributed to the same marker stack the CPU profiler reads.
-  obs::mem::MemOptions mem_options;
-  mem_options.enabled = args.mem_profile_set;
-  mem_options.sample_interval_bytes =
-      static_cast<int64_t>(args.mem_interval_kib * 1024.0);
-  obs::mem::MemProfiler mem_profiler(mem_options);
+  obs::mem::MemProfiler mem_profiler(protocol.mem);
   if (args.mem_profile_set) {
     if (Status st = mem_profiler.Start(); !st.ok()) {
       std::fprintf(stderr, "mem-profiler: %s\n", st.ToString().c_str());
@@ -1533,9 +1080,10 @@ int Main(int argc, char** argv) {
   Result<SimResult> result = Status::Internal("unreachable");
   const auto run_start = std::chrono::steady_clock::now();
   {
-    obs::prof::ProfScope app_scope(obs::prof::FrameKind::kApp, run_label);
+    obs::prof::ProfScope app_scope(obs::prof::FrameKind::kApp,
+                                   protocol.label);
     obs::PhaseScope phase(nullptr, nullptr, "simulate");
-    result = ExecutePlan(*plan, *cluster, exec);
+    result = ExecutePlan(*plan, cluster, exec);
   }
   const double run_wall_s = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - run_start)
@@ -1600,20 +1148,8 @@ int Main(int argc, char** argv) {
   }
   if (!args.ledger.empty()) {
     // Single ad-hoc run, so the "mean of repeats" collapses to one sample;
-    // the record still carries full provenance (plan hash, seed, build).
-    RunProtocol protocol;
-    protocol.repeats = 1;
-    protocol.duration_s = args.duration;
-    protocol.warmup_s = args.duration * 0.2;
-    protocol.seed = args.seed;
-    protocol.label = run_label;
-    protocol.ledger.enabled = true;
-    protocol.ledger.path = args.ledger;
-    protocol.ledger.cluster_name = args.cluster;
-    if (!args.artifacts.empty()) {
-      protocol.obs.enabled = true;  // record points at the bundle above
-      protocol.obs.dir = args.artifacts;
-    }
+    // the record still carries full provenance (plan hash, seed, build)
+    // and points at the bundle above.
     CellResult cell;
     cell.mean_median_latency_s = result->median_latency_s;
     cell.mean_throughput_tps = result->throughput_tps;
@@ -1632,7 +1168,7 @@ int Main(int argc, char** argv) {
       cell.has_mem_profile = true;
     }
     obs::RunRecord record =
-        MakeLedgerRecord(*plan, *cluster, protocol, cell, run_wall_s);
+        MakeLedgerRecord(*plan, cluster, protocol, cell, run_wall_s);
     Status appended = obs::RunLedger(args.ledger).Append(record);
     if (appended.ok()) {
       std::printf("ledger: appended %s to %s\n\n", record.run_id.c_str(),
@@ -1643,7 +1179,7 @@ int Main(int argc, char** argv) {
   }
   if (!args.save.empty()) {
     RunStore store(args.store_dir);
-    Status saved = store.SaveRun(args.save, *plan, *cluster, *result);
+    Status saved = store.SaveRun(args.save, *plan, cluster, *result);
     if (saved.ok()) {
       std::printf("saved run '%s' to %s/\n\n", args.save.c_str(),
                   args.store_dir.c_str());
@@ -1662,6 +1198,135 @@ int Main(int argc, char** argv) {
                 static_cast<long long>(op.late_drops));
   }
   return 0;
+}
+
+struct Subcommand {
+  const char* name;
+  int (*main)(int argc, char** argv);
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"analyze", AnalyzeMain}, {"diagnose", DiagnoseMain},
+    {"history", HistoryMain}, {"compare", CompareMain},
+    {"baseline", BaselineMain}, {"report", ReportMain},
+};
+
+}  // namespace
+
+int Main(int argc, char** argv) {
+  // Stored plans may reference application UDO kinds; make them resolvable
+  // regardless of how the plan is selected (and so the udo-checks analysis
+  // pass sees the full kind registry).
+  RegisterAppUdos();
+  std::string commands;
+  for (const Subcommand& sub : kSubcommands) {
+    if (argc > 1 && std::string_view(argv[1]) == sub.name) {
+      return sub.main(argc - 1, argv + 1);
+    }
+    commands += commands.empty() ? "" : "|";
+    commands += sub.name;
+  }
+  Args args;
+  const FlagTable table{
+      StrFormat("pdspbench (%s) ...   (each prints its flags on a usage "
+                "error)\n"
+                "       pdspbench (--app=ABBREV | --structure=NAME | "
+                "--load=ID | --list)",
+                commands.c_str()),
+      0,
+      {{"app", &args.app, "ABBREV",
+        "one of the Table 2 applications (WC, SG, ...)"},
+       {"structure", &args.structure, "NAME",
+        "one of the synthetic structures (linear, join2, ...)"},
+       {"load", &args.load, "ID", "re-execute a plan stored under --store"},
+       {"list", &args.list, "print the available apps and structures"},
+       {"rate", &args.rate, "N", "per-source event rate (events/s)"},
+       {"parallelism", &args.degrees, "N[,N...]",
+        "degree for all operators; a comma list sweeps the degrees"},
+       {"jobs", &args.jobs, "N",
+        "sweep worker threads (0 = one per hardware thread)"},
+       {"cluster", &args.cluster, "NAME", kClusterHelp},
+       {"nodes", &args.nodes, "N", "cluster size"},
+       {"duration", &args.duration, "S",
+        "generation horizon in seconds (> 0.5)"},
+       {"seed", &args.seed, "N", "simulation seed"},
+       {"placement", &args.placement, "NAME",
+        "round_robin | least_loaded | locality | random"},
+       {"allow-invalid", &args.allow_invalid,
+        "simulate even when static analysis finds errors"},
+       {"save", &args.save, "ID",
+        "store the plan and its metrics under --store"},
+       {"store", &args.store_dir, "DIR", "run store directory"},
+       {"ledger", &args.ledger, "PATH",
+        "append a provenance record (sweeps: per cell, plus a summary)"},
+       {"artifacts", &args.artifacts, "DIR",
+        "write artifact bundles under DIR (sweeps: DIR/<cell>/)"},
+       {"profile", &args.profile_hz, "HZ",
+        "sample CPU per operator while simulating", &args.profile_set},
+       {"mem-profile", &args.mem_interval_kib, "KiB",
+        "sample allocations, one per KiB on average", &args.mem_profile_set},
+       {"progress", &args.progress, "MODE",
+        "sweeps: live monitoring, plain | rich | off | auto (bare: auto); "
+        "emits PDSP-M### findings",
+        &args.progress_set},
+       {"progress-file", &args.progress_file, "PATH",
+        "sweeps: append monitor snapshots to PATH (JSONL)"}}};
+  if (!table.Parse(argc, argv)) return 2;
+  if (args.list) {
+    PrintCatalog();
+    return 0;
+  }
+  const int selectors = (!args.app.empty() ? 1 : 0) +
+                        (!args.structure.empty() ? 1 : 0) +
+                        (!args.load.empty() ? 1 : 0);
+  if (selectors != 1) {
+    std::fprintf(stderr,
+                 "pass exactly one of --app / --structure / --load\n");
+    return table.Usage();
+  }
+  bool degrees_ok = true;
+  for (int d : args.degrees) degrees_ok = degrees_ok && d >= 1;
+  if (args.rate <= 0 || !degrees_ok || args.nodes < 1 ||
+      args.duration <= 0.5 || (args.profile_set && args.profile_hz <= 0) ||
+      (args.mem_profile_set && args.mem_interval_kib <= 0)) {
+    std::fprintf(stderr, "bad numeric flags\n");
+    return table.Usage();
+  }
+  // The sampling interval in bytes must fit int64_t (below 2^63); a wider
+  // value would convert to a meaningless interval.
+  if (args.mem_profile_set && args.mem_interval_kib * 1024.0 >= 0x1p63) {
+    std::fprintf(stderr,
+                 "invalid value %g for --mem-profile: the interval exceeds "
+                 "2^63 bytes\n",
+                 args.mem_interval_kib);
+    return 2;
+  }
+
+  auto cluster = MakeCluster(args.cluster, args.nodes);
+  auto placement = MakePlacement(args.placement);
+  if (!cluster.ok() || !placement.ok()) {
+    std::fprintf(stderr, "%s\n",
+                 (!cluster.ok() ? cluster.status() : placement.status())
+                     .ToString()
+                     .c_str());
+    return 2;
+  }
+  const Benchmark* benchmark = nullptr;  // null: a --load run
+  if (args.load.empty()) {
+    const bool app = !args.app.empty();
+    const std::string& name = app ? args.app : args.structure;
+    benchmark = FindBenchmark(name, /*apps=*/app, /*structures=*/!app);
+    if (benchmark == nullptr) {
+      std::fprintf(stderr, "unknown %s '%s' (use --list)\n",
+                   app ? "app" : "structure", name.c_str());
+      return 2;
+    }
+  }
+  const RunProtocol protocol = MakeRunProtocol(args, *placement);
+  if (args.degrees.size() > 1) {
+    return RunParallelismSweep(args, benchmark, *cluster, protocol);
+  }
+  return RunOnce(args, benchmark, *cluster, protocol);
 }
 
 }  // namespace pdsp
