@@ -387,10 +387,10 @@ BENCHMARK(BM_ScalarAggregate)->Arg(1)->Arg(64)->Arg(1024);
 void BM_BatchPartitionKernel(benchmark::State& state) {
   const auto rows = static_cast<size_t>(state.range(0));
   const data::Batch in = KeyValueBatch(rows, 4);
-  std::vector<data::SelectionVector> parts;
+  kernels::Partitions parts;
   for (auto _ : state) {
     kernels::Partition(in, 0, rows, 0, 8, &parts);
-    benchmark::DoNotOptimize(parts.data());
+    benchmark::DoNotOptimize(parts.buckets.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
 }

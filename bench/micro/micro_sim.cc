@@ -105,12 +105,12 @@ BENCHMARK(BM_SimJoinPlanAttr)->Arg(8);
 // shaped like the fanout cell's: cross-node deliveries at the 150 us link
 // latency plus a little transit time, 4 us same-node hand-offs, and
 // zero-delay events that tie with the current time (chained deliveries).
-// The payload is the engine's (task, kind, batch id). Not gated.
+// The payload is the engine's (task, kind, delivery id). Not gated.
 void BM_EventQueue(benchmark::State& state) {
   struct Payload {
     int task;
     uint8_t kind;
-    uint32_t batch;
+    uint32_t delivery;
   };
   const auto depth = static_cast<size_t>(state.range(0));
   Rng rng(42);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -49,12 +50,21 @@ double Rng::NextDouble() {
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   if (lo >= hi) return lo;
-  const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: hi - lo and lo + offset can exceed int64_t, but
+  // both are exact modulo 2^64.
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  // All of int64_t: every 64-bit draw is a value of the range.
+  if (span == std::numeric_limits<uint64_t>::max()) {
+    return static_cast<int64_t>(NextUint64());
+  }
+  const uint64_t range = span + 1;
   // Debiased modulo (Lemire-style rejection).
   const uint64_t threshold = (0 - range) % range;
   for (;;) {
     const uint64_t r = NextUint64();
-    if (r >= threshold) return lo + static_cast<int64_t>(r % range);
+    if (r >= threshold) {
+      return static_cast<int64_t>(static_cast<uint64_t>(lo) + r % range);
+    }
   }
 }
 

@@ -1,10 +1,10 @@
 #include "src/obs/timeseries.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "src/common/file_util.h"
+#include "src/common/flags.h"
 #include "src/common/string_util.h"
 
 namespace pdsp {
@@ -20,10 +20,14 @@ std::string CsvCell(double v, const char* fmt) {
   return StrFormat(fmt, v);
 }
 
-/// Inverse of CsvCell: an empty cell parses back to quiet NaN.
-double ParseCell(const std::string& cell) {
-  if (cell.empty()) return std::numeric_limits<double>::quiet_NaN();
-  return std::strtod(cell.c_str(), nullptr);
+/// Inverse of CsvCell: an empty cell parses back to quiet NaN; any other
+/// cell must be a whole finite number.
+bool ParseCell(const std::string& cell, double* out) {
+  if (cell.empty()) {
+    *out = std::numeric_limits<double>::quiet_NaN();
+    return true;
+  }
+  return ParseNumber(cell, out);
 }
 
 }  // namespace
@@ -80,17 +84,23 @@ Result<TimeSeries> TimeSeries::FromCsv(const std::string& csv) {
           StrFormat("timeseries CSV line %zu: %zu cells, expected %zu", n + 1,
                     cells.size(), Columns().size()));
     }
+    auto malformed = [&](size_t c) {
+      return Status::InvalidArgument(StrFormat(
+          "timeseries CSV line %zu, column %s: malformed value '%s'", n + 1,
+          Columns()[c].c_str(), cells[c].c_str()));
+    };
     TimeSeriesRow row;
-    row.time_s = ParseCell(cells[0]);
-    row.task = std::atoi(cells[1].c_str());
+    if (!ParseCell(cells[0], &row.time_s)) return malformed(0);
+    if (!ParseNumber(cells[1], &row.task)) return malformed(1);
     row.op = cells[2];
-    row.instance = std::atoi(cells[3].c_str());
-    row.queue_tuples = std::atoll(cells[4].c_str());
-    row.utilization = ParseCell(cells[5]);
-    row.in_rate_tps = ParseCell(cells[6]);
-    row.out_rate_tps = ParseCell(cells[7]);
-    row.watermark_lag_s = ParseCell(cells[8]);
-    row.in_flight_tuples = std::atoll(cells[9].c_str());
+    if (!ParseNumber(cells[3], &row.instance)) return malformed(3);
+    if (!ParseNumber(cells[4], &row.queue_tuples)) return malformed(4);
+    if (!ParseCell(cells[5], &row.utilization)) return malformed(5);
+    if (!ParseCell(cells[6], &row.in_rate_tps)) return malformed(6);
+    if (!ParseCell(cells[7], &row.out_rate_tps)) return malformed(7);
+    if (!ParseCell(cells[8], &row.watermark_lag_s)) return malformed(8);
+    if (!ParseNumber(cells[9], &row.in_flight_tuples)) return malformed(9);
+    if (cells[10] != "0" && cells[10] != "1") return malformed(10);
     row.backpressure = cells[10] == "1";
     series.Append(std::move(row));
   }

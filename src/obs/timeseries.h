@@ -55,7 +55,9 @@ class TimeSeries {
   std::string ToCsv() const;
 
   /// Parses a ToCsv() document; empty numeric cells come back as NaN, so
-  /// ToCsv(FromCsv(x)) == x. Rejects a bad header or ragged rows.
+  /// ToCsv(FromCsv(x)) == x. Rejects a bad header, ragged rows, and any
+  /// cell that is not wholly a number of its column's type (or empty, for
+  /// a double column; 0 or 1 for backpressure), naming line and column.
   static Result<TimeSeries> FromCsv(const std::string& csv);
 
   /// Writes ToCsv() to `path`, creating parent directories.

@@ -1,6 +1,7 @@
 #include "src/runtime/kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <string_view>
 
@@ -239,33 +240,53 @@ Status Aggregate(const data::Batch& in, size_t begin, size_t end,
   return Status::OK();
 }
 
+void Partitions::Reset(size_t n) {
+  for (const uint32_t d : filled) buckets[d].clear();
+  filled.clear();
+  if (buckets.size() < n) buckets.resize(n);
+}
+
 void Partition(const data::Batch& in, size_t begin, size_t end,
-               size_t key_field, int num_partitions,
-               std::vector<data::SelectionVector>* parts) {
-  // Buckets keep their storage across calls: only their rows are dropped.
-  parts->resize(static_cast<size_t>(std::max(1, num_partitions)));
-  for (data::SelectionVector& part : *parts) part.clear();
+               size_t key_field, int num_partitions, Partitions* out) {
+  const auto p = static_cast<uint64_t>(std::max(1, num_partitions));
+  out->Reset(p);
+  if (begin >= end) return;
+  std::vector<data::SelectionVector>& buckets = out->buckets;
   if (key_field >= in.NumColumns()) {
     // Keyless fallback: nothing to hash, everything goes to 0.
-    data::SelectionVector& p0 = (*parts)[0];
+    data::SelectionVector& p0 = buckets[0];
     p0.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
       p0.push_back(static_cast<uint32_t>(i));
     }
+    out->filled.push_back(0);
     return;
   }
-  const auto p = static_cast<uint64_t>(std::max(1, num_partitions));
   // Hash a block of the column (tight typed loop), then scatter its row
   // indices — the selection vectors are the "radix buckets"; payload moves
   // once, at gather time. The block buffer lives on the stack, so the call
-  // allocates nothing once the buckets have grown.
+  // allocates nothing once the buckets have grown. Bit j of `residues` is
+  // set once a row goes to a destination d with d % 64 == j: kept in a
+  // register, it costs each row one OR and no memory dependency. Up to 64
+  // destinations it is exactly the filled set; above, it names the
+  // candidates to check.
   constexpr size_t kBlock = 256;
   uint64_t hashes[kBlock];
+  uint64_t residues = 0;
   for (size_t b = begin; b < end; b += kBlock) {
     const size_t e = std::min(end, b + kBlock);
     HashColumn(in, b, e, key_field, hashes);
     for (size_t i = b; i < e; ++i) {
-      (*parts)[hashes[i - b] % p].push_back(static_cast<uint32_t>(i));
+      const uint64_t d = hashes[i - b] % p;
+      buckets[d].push_back(static_cast<uint32_t>(i));
+      residues |= uint64_t{1} << (d % 64);
+    }
+  }
+  for (uint64_t base = 0; base < p; base += 64) {
+    for (uint64_t bits = residues; bits != 0; bits &= bits - 1) {
+      const uint64_t d = base + std::countr_zero(bits);
+      if (d >= p) break;
+      if (!buckets[d].empty()) out->filled.push_back(static_cast<uint32_t>(d));
     }
   }
 }

@@ -62,17 +62,31 @@ struct AggPartial {
 Status Aggregate(const data::Batch& in, size_t begin, size_t end,
                  size_t field, AggPartial* out);
 
-/// Hash-partitions rows [begin, end) by `key_field` into
-/// parts[0 .. num_partitions): parts[d] lists the rows whose key hash maps
-/// to destination d (row order preserved within each destination — the
-/// gather-once half of a radix partition). A `key_field` beyond the batch
-/// arity sends every row to destination 0 (keyless rows have nothing to
-/// hash). `parts` is resized to num_partitions and its buckets
-/// emptied by the call; surviving buckets keep their storage, so a caller
-/// that reuses one vector across calls stops allocating once it has grown.
+/// \brief Per-destination row selections reused across routing calls.
+/// `filled` lists, ascending, the destinations whose bucket is non-empty;
+/// every other bucket is empty, so emptying them all costs O(filled) rather
+/// than O(buckets). Buckets keep their storage and are never dropped, so a
+/// caller that reuses one Partitions stops allocating once it has grown.
+struct Partitions {
+  std::vector<data::SelectionVector> buckets;
+  std::vector<uint32_t> filled;
+
+  /// Empties the filled buckets and makes sure there are at least `n`.
+  void Reset(size_t n);
+};
+
+/// Hash-partitions rows [begin, end) by `key_field` into out->buckets:
+/// bucket d lists the rows whose key hash maps to destination d in
+/// [0, num_partitions) (row order preserved within each destination — the
+/// gather-once half of a radix partition), and out->filled lists the
+/// destinations that received rows, ascending. A `key_field` beyond the
+/// batch arity sends every row to destination 0 (keyless rows have nothing
+/// to hash). The call first empties the buckets the previous call filled
+/// (Reset). Up to 64 destinations it visits no empty bucket, so it costs
+/// O(rows + buckets filled); above 64 it also checks, per 64 destinations,
+/// those that share a residue mod 64 with a filled one.
 void Partition(const data::Batch& in, size_t begin, size_t end,
-               size_t key_field, int num_partitions,
-               std::vector<data::SelectionVector>* parts);
+               size_t key_field, int num_partitions, Partitions* out);
 
 }  // namespace kernels
 }  // namespace pdsp

@@ -151,6 +151,8 @@ class Engine {
  private:
   struct TaskState {
     std::unique_ptr<OperatorInstance> instance;  // null for sources
+    LogicalPlan::OpId op = 0;
+    int instance_index = 0;  // within the operator
     // Input FIFO of delivery record ids, linked through Delivery::next;
     // queue_tail is stale while queue_head is kNone.
     uint32_t queue_head = kNone;
@@ -201,9 +203,39 @@ class Engine {
     bool wide = false;
   };
 
+  /// One outgoing channel group of an operator with its routing terms,
+  /// looked up once per run.
+  struct OutGroup {
+    ChannelGroup channel;
+    int first_task = 0;   // the destination operator's first task
+    int parallelism = 1;  // the destination operator's
+    size_t key_field = OperatorDescriptor::kNoKey;  // PartitionKeyField
+    WmRoute wm;
+  };
+
+  /// What a firing needs to know of its operator, computed once per run:
+  /// the cost-model terms, each the double the CostModel function returns,
+  /// and whether it is a sink.
+  struct OpTerms {
+    double batch_cost = 0.0;                   // BatchCost
+    double input_tuple_cost = 0.0;             // InputTupleCost
+    double output_tuple_cost[2] = {0.0, 0.0};  // OutputTupleCost(op, fired)
+    bool sink = false;
+  };
+
+  /// A directed node pair's link terms (Cluster::LinkLatencySeconds and
+  /// LinkBandwidthBytesPerSec).
+  struct Link {
+    double latency = 0.0;
+    double bandwidth = 0.0;
+  };
+
   Status SetUpTasks();
   /// Builds the per-receiver watermark tables and the senders' WmRoutes.
   void SetUpWatermarkChannels();
+  /// Adds the counter deltas accumulated since the last call to the
+  /// registry.
+  void PublishCounters();
   void Push(double time, EventKind kind, int task, uint32_t delivery = kNone);
 
   /// A delivery record with no rows and no fields set.
@@ -229,9 +261,9 @@ class Engine {
   /// `task` spanning [start, start+duration).
   void TraceFiring(int task, double start, double duration, size_t tuples);
 
-  /// Runs the instance on a delivery or on due timers; routes outputs;
-  /// returns the service time charged.
-  Status ProcessOne(int task, double now);
+  /// Runs the instance on due timers (`timer_due`) or else on the next
+  /// delivery; routes outputs and charges the service time.
+  Status ProcessOne(int task, double now, bool timer_due);
 
   /// Starts work on `task` if it is idle and has something to do.
   void MaybeStart(int task, double now);
@@ -246,7 +278,8 @@ class Engine {
   /// `sender_wm`; when `broadcast_wm` is set, destinations that received no
   /// data still get a record with no rows, a 0-byte send (Flink's periodic
   /// watermark emission). Deliveries go to `deliveries_` in ascending
-  /// destination order per group.
+  /// destination order per group. Data routing visits only the
+  /// destinations that receive rows; only a broadcast visits all of them.
   void RouteOutputs(int task, const data::Batch& outputs, double sender_wm,
                     bool broadcast_wm, double* cost);
 
@@ -294,8 +327,10 @@ class Engine {
 
   EventQueue<Event> events_;
   std::vector<TaskState> tasks_;
-  std::vector<std::vector<ChannelGroup>> out_channels_;  // per op
-  std::vector<std::vector<WmRoute>> out_wm_;  // per op, parallel to groups
+  std::vector<std::vector<OutGroup>> out_groups_;  // per op
+  std::vector<OpTerms> op_terms_;                  // per op
+  std::vector<Link> links_;  // per (from node, to node), row-major
+  size_t num_nodes_ = 0;
   // Distinct output layout of each operator, indexed by op id (ids index
   // the pool's free lists and out_scratch_).
   std::vector<uint32_t> op_layout_id_;
@@ -305,12 +340,12 @@ class Engine {
   uint32_t free_record_ = kNone;
   // Per-firing scratch, reused across firings: one output batch per
   // layout (operators and fired timers append into it), the planned
-  // deliveries, per-destination row selections, and each destination's
-  // record in the group being routed (kNone when untouched) with the list
-  // of touched destinations.
+  // deliveries, per-destination row selections with the list of filled
+  // ones, and each destination's record in the group being routed (kNone
+  // when untouched) with the list of touched destinations.
   std::vector<data::Batch> out_scratch_;
   std::vector<PlannedDelivery> deliveries_;
-  std::vector<data::SelectionVector> parts_;
+  kernels::Partitions parts_;
   std::vector<uint32_t> dest_record_;
   std::vector<int> touched_;
   int64_t pending_tuples_ = 0;
@@ -318,8 +353,18 @@ class Engine {
   SimEventCounts event_counts_;
   Status run_error_ = Status::OK();
   SimResult result_;
-  // Observability. Counter handles are cached so hot-path updates are one
-  // relaxed atomic add; time-series rates diff against the previous sample.
+  // Observability. Counter handles are cached; the four per-firing counters
+  // accumulate here and reach the registry every kPublishEvery events and
+  // at run end (PublishCounters), so the monitor's liveness sum keeps
+  // moving while a firing pays no atomic add. Time-series rates diff
+  // against the previous sample.
+  static constexpr int64_t kPublishEvery = 256;
+  struct {
+    int64_t source_tuples = 0;
+    int64_t sink_tuples = 0;
+    int64_t batches = 0;
+    int64_t rows = 0;
+  } unpublished_;
   obs::Counter* ctr_source_tuples_ = nullptr;
   obs::Counter* ctr_sink_tuples_ = nullptr;
   obs::Counter* ctr_bp_skipped_ = nullptr;
@@ -363,9 +408,35 @@ class Engine {
 
 Status Engine::SetUpTasks() {
   tasks_.resize(plan_.NumTasks());
-  out_channels_.resize(plan_.logical().NumOperators());
-  for (size_t op = 0; op < plan_.logical().NumOperators(); ++op) {
-    out_channels_[op] = plan_.ChannelsFrom(static_cast<LogicalPlan::OpId>(op));
+  const size_t num_ops = plan_.logical().NumOperators();
+  out_groups_.resize(num_ops);
+  op_terms_.resize(num_ops);
+  for (size_t op = 0; op < num_ops; ++op) {
+    const auto id = static_cast<LogicalPlan::OpId>(op);
+    for (const ChannelGroup& g : plan_.ChannelsFrom(id)) {
+      OutGroup& out = out_groups_[op].emplace_back();
+      out.channel = g;
+      out.first_task = plan_.FirstTaskOf(g.to_op);
+      out.parallelism = plan_.ParallelismOf(g.to_op);
+      out.key_field = plan_.PartitionKeyField(g.to_op, g.input_port);
+    }
+    const OperatorDescriptor& desc = plan_.logical().op(id);
+    OpTerms& terms = op_terms_[op];
+    terms.batch_cost = costs_.BatchCost(desc);
+    terms.input_tuple_cost = costs_.InputTupleCost(desc);
+    terms.output_tuple_cost[0] = costs_.OutputTupleCost(desc, false);
+    terms.output_tuple_cost[1] = costs_.OutputTupleCost(desc, true);
+    terms.sink = desc.type == OperatorType::kSink;
+  }
+  num_nodes_ = cluster_.NumNodes();
+  links_.resize(num_nodes_ * num_nodes_);
+  for (size_t a = 0; a < num_nodes_; ++a) {
+    for (size_t b = 0; b < num_nodes_; ++b) {
+      const auto from = static_cast<int>(a);
+      const auto to = static_cast<int>(b);
+      links_[a * num_nodes_ + b] = {cluster_.LinkLatencySeconds(from, to),
+                                    cluster_.LinkBandwidthBytesPerSec(from, to)};
+    }
   }
   PDSP_ASSIGN_OR_RETURN(std::vector<data::BatchLayout> out_layouts,
                         DeriveBatchLayouts(plan_.logical()));
@@ -390,7 +461,9 @@ Status Engine::SetUpTasks() {
     const PhysicalTask& pt = plan_.task(static_cast<int>(t));
     const OperatorDescriptor& op = plan_.logical().op(pt.op);
     TaskState& state = tasks_[t];
-    state.rr_cursor.assign(out_channels_[pt.op].size(), 0);
+    state.op = pt.op;
+    state.instance_index = pt.instance;
+    state.rr_cursor.assign(out_groups_[pt.op].size(), 0);
     state.rng = master.Fork(t + 1);
     const int node_id = placement_.node_of_task[t];
     const double contention =
@@ -440,22 +513,28 @@ void Engine::SetUpWatermarkChannels() {
   // over the full channel set from the start.
   const size_t num_ops = plan_.logical().NumOperators();
   std::vector<uint32_t> num_slots(num_ops, 0);  // per receiving op
-  out_wm_.resize(num_ops);
   for (size_t op = 0; op < num_ops; ++op) {
-    for (const ChannelGroup& g : out_channels_[op]) {
+    for (OutGroup& out : out_groups_[op]) {
+      const ChannelGroup& g = out.channel;
       const bool wide = g.mode != Partitioning::kForward;
-      out_wm_[op].push_back({num_slots[g.to_op], wide});
+      out.wm = {num_slots[g.to_op], wide};
       num_slots[g.to_op] +=
           wide ? static_cast<uint32_t>(plan_.ParallelismOf(g.from_op)) : 1;
     }
   }
-  for (size_t t = 0; t < tasks_.size(); ++t) {
-    TaskState& state = tasks_[t];
+  for (TaskState& state : tasks_) {
     if (state.instance == nullptr) continue;  // sources own their watermark
-    state.channel_wm.assign(num_slots[plan_.task(static_cast<int>(t)).op],
-                            -kInf);
+    state.channel_wm.assign(num_slots[state.op], -kInf);
     state.channels_at_min = state.channel_wm.size();
   }
+}
+
+void Engine::PublishCounters() {
+  ctr_source_tuples_->Add(unpublished_.source_tuples);
+  ctr_sink_tuples_->Add(unpublished_.sink_tuples);
+  ctr_data_batches_->Add(unpublished_.batches);
+  ctr_data_rows_->Add(unpublished_.rows);
+  unpublished_ = {};
 }
 
 void Engine::Push(double time, EventKind kind, int task, uint32_t delivery) {
@@ -557,12 +636,11 @@ void Engine::SampleTimeSeries(double t) {
   const bool bp = pending_tuples_ > options_.max_in_flight_tuples;
   for (size_t task = 0; task < tasks_.size(); ++task) {
     const TaskState& state = tasks_[task];
-    const PhysicalTask& pt = plan_.task(static_cast<int>(task));
     obs::TimeSeriesRow row;
     row.time_s = t;
     row.task = static_cast<int>(task);
-    row.op = plan_.logical().op(pt.op).name;
-    row.instance = pt.instance;
+    row.op = plan_.logical().op(state.op).name;
+    row.instance = state.instance_index;
     row.queue_tuples = static_cast<int64_t>(state.queued_tuples);
     // Busy time is charged when service starts, so a long firing can exceed
     // the interval; clamp to a fraction.
@@ -609,45 +687,56 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
   const size_t n = outputs.NumRows();
   if (n == 0 && !broadcast_wm) return;
   TaskState& state = tasks_[task];
-  const PhysicalTask& pt = plan_.task(task);
-  const auto& groups = out_channels_[pt.op];
+  const std::vector<OutGroup>& groups = out_groups_[state.op];
   const int src_node = placement_.node_of_task[task];
-  const uint32_t layout_id = op_layout_id_[pt.op];
+  const Link* links_from = &links_[static_cast<size_t>(src_node) * num_nodes_];
+  const uint32_t layout_id = op_layout_id_[state.op];
 
   for (size_t gi = 0; gi < groups.size(); ++gi) {
-    const ChannelGroup& g = groups[gi];
-    const int p_dest = plan_.ParallelismOf(g.to_op);
-    const size_t key_field = plan_.PartitionKeyField(g.to_op, g.input_port);
+    const OutGroup& out = groups[gi];
+    const ChannelGroup& g = out.channel;
+    const int p_dest = out.parallelism;
     // Destination d's rows, `rows` of them, go to the chunk this returns.
     auto rows_for = [&](int d, size_t rows) -> data::Batch& {
-      const uint32_t id =
-          NewRowsRecord(plan_.TaskId(g.to_op, d), layout_id, rows);
+      const uint32_t id = NewRowsRecord(out.first_task + d, layout_id, rows);
       dest_record_[d] = id;
       touched_.push_back(d);
       return pool_[records_[id].chunk].rows;
     };
+    // Gathers each filled bucket of parts_ into its destination, ascending.
+    auto gather_filled = [&] {
+      for (const uint32_t d : parts_.filled) {
+        const data::SelectionVector& rows = parts_.buckets[d];
+        rows_for(static_cast<int>(d), rows.size()).AppendGather(outputs, rows);
+      }
+    };
     if (n > 0) {
       switch (g.mode) {
         case Partitioning::kForward:
-          rows_for(pt.instance, n).AppendRange(outputs, 0, n);
+          rows_for(state.instance_index, n).AppendRange(outputs, 0, n);
           break;
         case Partitioning::kRebalance: {
           // Row i goes to (cursor + i) % p: per-row round robin, batched.
-          const size_t cursor = state.rr_cursor[gi];
+          // The filled destinations are the min(n, p) consecutive ids from
+          // cursor % p, wrapping; they are listed ascending, the wrapped
+          // part first.
+          const auto p = static_cast<size_t>(p_dest);
+          const size_t first = state.rr_cursor[gi] % p;
           state.rr_cursor[gi] += n;
-          // Buckets keep their storage across calls (never shrunk here).
-          if (parts_.size() < static_cast<size_t>(p_dest)) {
-            parts_.resize(static_cast<size_t>(p_dest));
+          parts_.Reset(p);
+          for (size_t i = 0, d = first; i < n; ++i) {
+            parts_.buckets[d].push_back(static_cast<uint32_t>(i));
+            if (++d == p) d = 0;
           }
-          for (int d = 0; d < p_dest; ++d) parts_[d].clear();
-          for (size_t i = 0; i < n; ++i) {
-            parts_[(cursor + i) % static_cast<size_t>(p_dest)].push_back(
-                static_cast<uint32_t>(i));
+          const size_t filled = std::min(n, p);
+          const size_t wrapped = first + filled > p ? first + filled - p : 0;
+          for (size_t d = 0; d < wrapped; ++d) {
+            parts_.filled.push_back(static_cast<uint32_t>(d));
           }
-          for (int d = 0; d < p_dest; ++d) {
-            if (parts_[d].empty()) continue;
-            rows_for(d, parts_[d].size()).AppendGather(outputs, parts_[d]);
+          for (size_t d = first; d < first + filled - wrapped; ++d) {
+            parts_.filled.push_back(static_cast<uint32_t>(d));
           }
+          gather_filled();
           break;
         }
         case Partitioning::kHash: {
@@ -658,14 +747,12 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
           // 0 for zero-arity tuples.
           const size_t arity = outputs.NumColumns();
           const size_t f =
-              key_field != OperatorDescriptor::kNoKey && key_field < arity
-                  ? key_field
+              out.key_field != OperatorDescriptor::kNoKey &&
+                      out.key_field < arity
+                  ? out.key_field
                   : 0;
           kernels::Partition(outputs, 0, n, f, p_dest, &parts_);
-          for (int d = 0; d < p_dest; ++d) {
-            if (parts_[d].empty()) continue;
-            rows_for(d, parts_[d].size()).AppendGather(outputs, parts_[d]);
-          }
+          gather_filled();
           break;
         }
       }
@@ -676,17 +763,18 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
       // the list is rebuilt in ascending order.
       touched_.clear();
       for (int d = 0; d < p_dest; ++d) {
-        if (g.mode == Partitioning::kForward && d != pt.instance) continue;
+        if (g.mode == Partitioning::kForward && d != state.instance_index) {
+          continue;
+        }
         if (dest_record_[d] == kNone) dest_record_[d] = NewRecord();
         touched_.push_back(d);
       }
     }
     const bool chained =
         g.mode == Partitioning::kForward && costs_.chain_forward_channels;
-    const WmRoute wm_route = out_wm_[pt.op][gi];
     const uint32_t wm_slot =
-        wm_route.base +
-        (wm_route.wide ? static_cast<uint32_t>(pt.instance) : 0u);
+        out.wm.base +
+        (out.wm.wide ? static_cast<uint32_t>(state.instance_index) : 0u);
     for (const int d : touched_) {
       const uint32_t id = dest_record_[d];
       dest_record_[d] = kNone;
@@ -696,7 +784,7 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
       rec.wm_slot = wm_slot;
       rec.watermark = sender_wm;
       const size_t sub_rows = rec.rows();
-      const int dest_task = plan_.TaskId(g.to_op, d);
+      const int dest_task = out.first_task + d;
       const int dest_node = placement_.node_of_task[dest_task];
       state.tuples_out += static_cast<int64_t>(sub_rows);
       if (chained && dest_node == src_node) {
@@ -716,9 +804,8 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
                 : pool_[rec.chunk].rows.WireSize(rec.begin, rec.end);
         *cost += static_cast<double>(bytes) *
                  costs_.serialization_cost_per_byte;
-        delay = cluster_.LinkLatencySeconds(src_node, dest_node) +
-                static_cast<double>(bytes) /
-                    cluster_.LinkBandwidthBytesPerSec(src_node, dest_node);
+        const Link& link = links_from[dest_node];
+        delay = link.latency + static_cast<double>(bytes) / link.bandwidth;
       }
       deliveries_.push_back({delay, dest_task, id});
     }
@@ -817,10 +904,8 @@ void Engine::ChargeWindowResidency(LogicalPlan::OpId op, double now,
 
 void Engine::EmitSourceBatch(int task, double now) {
   TaskState& state = tasks_[task];
-  const PhysicalTask& pt = plan_.task(task);
-  const OperatorDescriptor& op = plan_.logical().op(pt.op);
   obs::prof::ProfScope op_scope(obs::prof::FrameKind::kOperator,
-                                OpMarkerId(pt.op));
+                                OpMarkerId(state.op));
   const double dt = state.batch_interval;
 
   int64_t n = state.arrival->EventsInWindow(now, dt, &state.rng);
@@ -837,7 +922,7 @@ void Engine::EmitSourceBatch(int task, double now) {
     ctr_bp_skipped_->Add(n);
     n = 0;
   }
-  data::Batch& outputs = OutputScratch(pt.op);
+  data::Batch& outputs = OutputScratch(state.op);
   outputs.Reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     const double t_event =
@@ -847,15 +932,16 @@ void Engine::EmitSourceBatch(int task, double now) {
     state.generator->AppendNext(t_event, t_event, attr, &outputs);
   }
   if (n > 0) {
-    ctr_data_batches_->Add(1);
-    ctr_data_rows_->Add(n);
+    ++unpublished_.batches;
+    unpublished_.rows += n;
   }
   result_.source_tuples += n;
-  ctr_source_tuples_->Add(n);
+  unpublished_.source_tuples += n;
   state.tuples_in += n;
 
-  double cost = costs_.BatchCost(op) +
-                static_cast<double>(n) * costs_.InputTupleCost(op);
+  const OpTerms& terms = op_terms_[state.op];
+  double cost = terms.batch_cost +
+                static_cast<double>(n) * terms.input_tuple_cost;
   // Sources advance their own watermark to the end of the emitted interval;
   // the final batch carries the end-of-stream watermark (Flink emits
   // Long.MAX_VALUE on shutdown) so tail windows flush during drain.
@@ -878,7 +964,7 @@ void Engine::EmitSourceBatch(int task, double now) {
   }
   // Everything between birth and the batch shipping out — interval fill,
   // source lag and the source's own service — is source-batching time.
-  if (attribute_) ChargeDispatch(pt.op, completion, /*is_source=*/true);
+  if (attribute_) ChargeDispatch(state.op, completion, /*is_source=*/true);
   DispatchDeliveries(completion);
 
   const double next = now + dt;
@@ -887,34 +973,34 @@ void Engine::EmitSourceBatch(int task, double now) {
   }
 }
 
-Status Engine::ProcessOne(int task, double now) {
+Status Engine::ProcessOne(int task, double now, bool timer_due) {
   TaskState& state = tasks_[task];
-  const PhysicalTask& pt = plan_.task(task);
-  const OperatorDescriptor& op = plan_.logical().op(pt.op);
+  const LogicalPlan::OpId op = state.op;
+  const OpTerms& terms = op_terms_[op];
   obs::prof::ProfScope op_scope(obs::prof::FrameKind::kOperator,
-                                OpMarkerId(pt.op));
+                                OpMarkerId(op));
 
-  data::Batch& outputs = OutputScratch(pt.op);
+  data::Batch& outputs = OutputScratch(op);
   double cost = 0.0;
-  bool timer_fire = false;
   size_t in_tuples = 0;
 
-  const double next_timer = state.instance->NextTimerTime();
-  if (next_timer < kInf && next_timer <= state.input_wm) {
+  if (timer_due) {
     // The input watermark passed a window boundary: fire panes. Event-time
     // semantics — queueing delay anywhere upstream holds the watermark back
     // and therefore delays firing (and raises end-to-end latency).
-    timer_fire = true;
     obs::prof::ProfScope kernel_scope(obs::prof::FrameKind::kKernel,
                                       kernel_fire_id_);
     state.instance->OnTimer(state.input_wm, &outputs);
-    cost = costs_.BatchCost(op);
+    cost = terms.batch_cost;
   } else {
     obs::prof::ProfScope kernel_scope(obs::prof::FrameKind::kKernel,
                                       kernel_process_id_);
     const uint32_t id = state.queue_head;
     const Delivery& d = records_[id];
     state.queue_head = d.next;
+    // The task's next firing starts by reading the next queued record,
+    // which a backlogged task's FIFO places anywhere in records_.
+    if (d.next != kNone) __builtin_prefetch(&records_[d.next]);
     const size_t rows = d.rows();
     if (rows == 0) {
       cost = costs_.wm_batch_cost;
@@ -923,11 +1009,11 @@ Status Engine::ProcessOne(int task, double now) {
       state.queued_tuples -= rows;
       pending_tuples_ -= static_cast<int64_t>(rows);
       state.tuples_in += static_cast<int64_t>(rows);
-      if (attribute_) ChargeQueueWait(pt.op, now, d);
-      cost = (d.chained ? 0.0 : costs_.BatchCost(op)) +
-             static_cast<double>(rows) * costs_.InputTupleCost(op);
-      ctr_data_batches_->Add(1);
-      ctr_data_rows_->Add(static_cast<int64_t>(rows));
+      if (attribute_) ChargeQueueWait(op, now, d);
+      cost = (d.chained ? 0.0 : terms.batch_cost) +
+             static_cast<double>(rows) * terms.input_tuple_cost;
+      ++unpublished_.batches;
+      unpublished_.rows += static_cast<int64_t>(rows);
       // Vectorized kernels run over pieces of at most batch_rows rows of the
       // delivery's range; the split is invisible in virtual time (same
       // `now`, same cost model) and in results (kernels preserve row order
@@ -950,15 +1036,15 @@ Status Engine::ProcessOne(int task, double now) {
     ctr_data_promotions_->Add(static_cast<int64_t>(outputs.promotions()));
   }
   cost += static_cast<double>(outputs.NumRows()) *
-          costs_.OutputTupleCost(op, timer_fire);
+          terms.output_tuple_cost[timer_due ? 1 : 0];
   // Outputs whose attribution cursor predates this firing emerged from
   // operator state (window panes, buffered join partners): charge the gap
   // as window residency.
-  if (attribute_) ChargeWindowResidency(pt.op, now, outputs);
+  if (attribute_) ChargeWindowResidency(op, now, outputs);
 
-  if (op.type == OperatorType::kSink) {
+  if (terms.sink) {
     const double completion = now + cost / state.speed;
-    OperatorLatencyStats& acc = op_latency_[pt.op];
+    OperatorLatencyStats& acc = op_latency_[op];
     for (size_t r = 0; r < outputs.NumRows(); ++r) {
       const uint32_t attr = outputs.attr_id(r);
       if (attr != kNoAttr) {
@@ -986,7 +1072,7 @@ Status Engine::ProcessOne(int task, double now) {
         }
       }
     }
-    ctr_sink_tuples_->Add(static_cast<int64_t>(outputs.NumRows()));
+    unpublished_.sink_tuples += static_cast<int64_t>(outputs.NumRows());
     state.busy_time += completion - now;
     state.busy_until = completion;
   } else {
@@ -999,14 +1085,14 @@ Status Engine::ProcessOne(int task, double now) {
     state.busy_until = now + service;
     state.busy_time += service;
     if (attribute_) {
-      ChargeDispatch(pt.op, state.busy_until, /*is_source=*/false);
+      ChargeDispatch(op, state.busy_until, /*is_source=*/false);
     }
     DispatchDeliveries(state.busy_until);
   }
 
   if (trace_verbose_) {
     TraceFiring(task, now, state.busy_until - now,
-                timer_fire ? outputs.NumRows() : in_tuples);
+                timer_due ? outputs.NumRows() : in_tuples);
   }
   // Wake self at completion to pick up further work.
   Push(state.busy_until, EventKind::kReady, task);
@@ -1022,7 +1108,7 @@ void Engine::MaybeStart(int task, double now) {
   if (state.queue_head == kNone && !timer_due) return;
   // Errors here indicate plan/runtime inconsistencies; they are surfaced via
   // the run loop's status.
-  Status st = ProcessOne(task, now);
+  Status st = ProcessOne(task, now, timer_due);
   if (!st.ok()) {
     run_error_ = st;
   }
@@ -1073,6 +1159,7 @@ Result<SimResult> Engine::Run() {
     obs::Span span(options_.tracer, "simulate", "sim");
     while (!events_.empty()) {
       if (++events_processed_ > options_.max_events) {
+        PublishCounters();
         return Status::ResourceExhausted(
             StrFormat("simulation exceeded %lld events",
                       static_cast<long long>(options_.max_events)));
@@ -1095,7 +1182,7 @@ Result<SimResult> Engine::Run() {
             ++event_counts_.wm_delivery;
           } else {
             ++event_counts_.delivery;
-            if (attribute_) ChargeNetwork(plan_.task(e.task).op, time, d);
+            if (attribute_) ChargeNetwork(state.op, time, d);
             state.queued_tuples += d.rows();
             state.max_queue_tuples =
                 std::max(state.max_queue_tuples, state.queued_tuples);
@@ -1115,8 +1202,13 @@ Result<SimResult> Engine::Run() {
           MaybeStart(e.task, time);
           break;
       }
-      if (!run_error_.ok()) return run_error_;
+      if (!run_error_.ok()) {
+        PublishCounters();
+        return run_error_;
+      }
+      if (events_processed_ % kPublishEvery == 0) PublishCounters();
     }
+    PublishCounters();
     // If the heap drained before duration_s (tiny runs), emit the remaining
     // sample points from the final state so row counts stay predictable.
     while (next_sample <= options_.duration_s) {

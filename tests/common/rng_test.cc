@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <thread>
@@ -56,6 +57,92 @@ TEST(RngTest, UniformIntCoversAllValues) {
   for (const auto& [v, c] : counts) {
     EXPECT_GT(c, 700) << "value " << v;  // expected 1000 each
     EXPECT_LT(c, 1300) << "value " << v;
+  }
+}
+
+/// Rng::UniformInt as it was before it computed in uint64_t, verbatim
+/// except for drawing through `rng`; defined only where hi - lo and the
+/// result fit in int64_t.
+int64_t ReferenceUniformInt(Rng* rng, int64_t lo, int64_t hi) {
+  if (lo >= hi) return lo;
+  const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
+  // Debiased modulo (Lemire-style rejection).
+  const uint64_t threshold = (0 - range) % range;
+  for (;;) {
+    const uint64_t r = rng->NextUint64();
+    if (r >= threshold) return lo + static_cast<int64_t>(r % range);
+  }
+}
+
+void ExpectUniformIntMatchesReference(uint64_t seed) {
+  Rng params(seed);
+  Rng got(seed + 1), want(seed + 1);
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (int i = 0; i < 20000; ++i) {
+    // Bounds of every magnitude, kept to ranges narrower than 2^63 so the
+    // reference stays defined; a third of them reach an int64 end.
+    const int bits = static_cast<int>(params.UniformInt(1, 62));
+    const int64_t width = static_cast<int64_t>(params.NextUint64() >>
+                                               (64 - bits));  // < 2^bits
+    int64_t lo;
+    switch (params.UniformInt(0, 2)) {
+      case 0:
+        lo = std::numeric_limits<int64_t>::min() +
+             static_cast<int64_t>(params.NextUint64() >> (64 - bits));
+        break;
+      case 1:
+        lo = kMax - width;
+        break;
+      default:
+        lo = static_cast<int64_t>(params.NextUint64() >> 2) -
+             (int64_t{1} << 61);
+        break;
+    }
+    const int64_t hi = lo + width;
+    ASSERT_EQ(got.UniformInt(lo, hi), ReferenceUniformInt(&want, lo, hi))
+        << "draw " << i << " [" << lo << ", " << hi << "]";
+  }
+  EXPECT_EQ(got.NextUint64(), want.NextUint64());
+}
+
+TEST(RngTest, UniformIntMatchesPreviousDrawsSeed42) {
+  ExpectUniformIntMatchesReference(42);
+}
+
+TEST(RngTest, UniformIntMatchesPreviousDrawsSeed1009) {
+  ExpectUniformIntMatchesReference(1009);
+}
+
+TEST(RngTest, UniformIntWiderThanHalfTheInt64Range) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const struct {
+    int64_t lo, hi;
+  } ranges[] = {{kMin, int64_t{1} << 62},
+                {-(int64_t{1} << 62), kMax},
+                {kMin, kMax - 1},
+                {kMin + 1, kMax}};
+  for (const auto& range : ranges) {
+    Rng rng(42);
+    bool below_zero = false, above_zero = false;
+    for (int i = 0; i < 4000; ++i) {
+      const int64_t v = rng.UniformInt(range.lo, range.hi);
+      ASSERT_GE(v, range.lo);
+      ASSERT_LE(v, range.hi);
+      below_zero |= v < 0;
+      above_zero |= v > 0;
+    }
+    EXPECT_TRUE(below_zero && above_zero)
+        << "[" << range.lo << ", " << range.hi << "]";
+  }
+}
+
+TEST(RngTest, UniformIntOverAllOfInt64IsTheRawDraw) {
+  Rng rng(1009), raw(1009);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(rng.UniformInt(std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int64_t>::max()),
+              static_cast<int64_t>(raw.NextUint64()));
   }
 }
 

@@ -50,6 +50,17 @@ TEST(SimObsTest, RegistryCountersMatchSimResult) {
                    r->throughput_tps);
 }
 
+TEST(SimObsTest, SimulatedTimeSeriesCsvRoundTrips) {
+  auto r = RunLinear(2.0, 0.25);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_FALSE(r->timeseries.empty());
+  const std::string csv = r->timeseries.ToCsv();
+  auto parsed = obs::TimeSeries::FromCsv(csv);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->NumRows(), r->timeseries.NumRows());
+  EXPECT_EQ(parsed->ToCsv(), csv);
+}
+
 TEST(SimObsTest, TimeSeriesRowGridAndMonotonicity) {
   const double duration = 2.0;
   const double interval = 0.25;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "src/common/string_util.h"
 
@@ -85,6 +86,44 @@ TEST(TimeSeriesCsvTest, RejectsBadHeaderAndRaggedRows) {
   auto empty = TimeSeries::FromCsv(header + "\n");
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
+}
+
+TEST(TimeSeriesCsvTest, RejectsMalformedNumericCells) {
+  TimeSeries series;
+  series.Append(Row(0.5, 3, 0.25));
+  const std::string csv = series.ToCsv();
+  ASSERT_TRUE(TimeSeries::FromCsv(csv).ok());
+  const std::string header = Join(TimeSeries::Columns(), ",");
+  const std::vector<std::string> good =
+      Split(Trim(csv.substr(header.size() + 1)), ',');
+  ASSERT_EQ(good.size(), TimeSeries::Columns().size());
+  // One malformed cell at a time, in every numeric column; column 2 is the
+  // operator name, which is free text.
+  const struct {
+    size_t column;
+    const char* cell;
+  } cases[] = {
+      {0, "0.5s"},    {0, "nan"},  {1, "3x"},    {1, "abc"},
+      {1, "1e3"},     {3, "abc"},  {3, "-"},     {3, "99999999999"},
+      {4, "12junk"},  {4, " 5"},   {4, "5.0"},   {5, "0.25.1"},
+      {5, "inf"},     {6, "1e"},   {7, "+-1"},   {8, "0x10"},
+      {9, "7q"},      {9, ""},     {10, "2"},    {10, "true"},
+      {10, ""},       {10, "01"},
+  };
+  for (const auto& c : cases) {
+    std::vector<std::string> cells = good;
+    cells[c.column] = c.cell;
+    const auto parsed =
+        TimeSeries::FromCsv(header + "\n" + Join(cells, ",") + "\n");
+    ASSERT_FALSE(parsed.ok()) << "column " << c.column << " cell '" << c.cell
+                              << "'";
+    EXPECT_TRUE(parsed.status().IsInvalidArgument());
+    const std::string message = parsed.status().ToString();
+    EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+    EXPECT_NE(message.find("column " + TimeSeries::Columns()[c.column]),
+              std::string::npos)
+        << message;
+  }
 }
 
 }  // namespace

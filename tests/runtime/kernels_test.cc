@@ -118,52 +118,95 @@ TEST(AggregateKernelTest, MatchesScalarAccumulationEveryFn) {
   EXPECT_DOUBLE_EQ(empty.Finish(AggregateFn::kAvg), 0.0);
 }
 
+/// Routing each row on its own: bucket d lists the rows of [begin, end)
+/// whose key hash maps to d, in row order.
+std::vector<data::SelectionVector> ScalarRouting(const data::Batch& b,
+                                                 size_t begin, size_t end,
+                                                 size_t field, int p) {
+  std::vector<data::SelectionVector> expected(static_cast<size_t>(p));
+  for (size_t r = begin; r < end; ++r) {
+    const size_t d =
+        field < b.NumColumns()
+            ? b.ValueAt(r, field).Hash() % static_cast<uint64_t>(p)
+            : 0;
+    expected[d].push_back(static_cast<uint32_t>(r));
+  }
+  return expected;
+}
+
+/// `parts` holds exactly `expected` (buckets past it empty), and its filled
+/// list names the non-empty buckets in ascending order.
+void ExpectPartitions(const kernels::Partitions& parts,
+                      const std::vector<data::SelectionVector>& expected) {
+  ASSERT_GE(parts.buckets.size(), expected.size());
+  std::vector<uint32_t> want_filled;
+  for (size_t d = 0; d < parts.buckets.size(); ++d) {
+    if (d < expected.size()) {
+      EXPECT_EQ(parts.buckets[d], expected[d]) << "bucket " << d;
+      if (!expected[d].empty()) want_filled.push_back(static_cast<uint32_t>(d));
+    } else {
+      EXPECT_TRUE(parts.buckets[d].empty()) << "bucket " << d;
+    }
+  }
+  EXPECT_EQ(parts.filled, want_filled);
+}
+
 TEST(PartitionKernelTest, MatchesScalarHashRouting) {
   const data::Batch b = MixedBatch(400, 31);
   for (size_t field = 0; field < b.NumColumns(); ++field) {
-    for (int p : {1, 2, 7}) {
-      std::vector<data::SelectionVector> parts;
+    for (int p : {1, 2, 7, 64, 65, 130}) {
+      SCOPED_TRACE(::testing::Message() << "field " << field << " p " << p);
+      kernels::Partitions parts;
       kernels::Partition(b, 0, b.NumRows(), field, p, &parts);
-      ASSERT_EQ(parts.size(), static_cast<size_t>(p));
-      std::vector<data::SelectionVector> expected(p);
-      for (size_t r = 0; r < b.NumRows(); ++r) {
-        const uint64_t h = b.ValueAt(r, field).Hash();
-        expected[h % static_cast<uint64_t>(p)].push_back(
-            static_cast<uint32_t>(r));
-      }
-      EXPECT_EQ(parts, expected) << "field " << field << " p " << p;
+      ASSERT_EQ(parts.buckets.size(), static_cast<size_t>(p));
+      ExpectPartitions(parts, ScalarRouting(b, 0, b.NumRows(), field, p));
     }
   }
 }
 
-// The engine reuses one bucket vector for every routing call, so leftover
-// rows or buckets from an earlier call (with more or fewer destinations,
-// or a longer row range) must never leak into the next result.
+// The engine reuses one Partitions for every routing call, and each call
+// empties only the buckets the previous one filled, so leftover rows from
+// an earlier call (with more or fewer destinations, or another row range)
+// must never leak into the next result, and the filled list must stay
+// exact.
 TEST(PartitionKernelTest, ReusedBucketsMatchFreshOnes) {
   const data::Batch b = MixedBatch(700, 17);
-  std::vector<data::SelectionVector> reused;
+  kernels::Partitions reused;
   const struct {
     size_t field, begin, end;
     int p;
-  } calls[] = {{0, 0, 700, 7},   {1, 3, 40, 2}, {2, 0, 700, 64},
-               {0, 100, 101, 1}, {1, 0, 0, 5},  {0, 9, 650, 3},
-               {99, 0, 30, 4},   {2, 1, 699, 7}};
+  } calls[] = {{0, 0, 700, 7},    {1, 3, 40, 2},    {2, 0, 700, 64},
+               {0, 100, 101, 1},  {1, 0, 0, 5},     {0, 9, 650, 3},
+               {99, 0, 30, 4},    {2, 1, 699, 7},   {0, 0, 700, 130},
+               {1, 5, 25, 64},    {99, 10, 11, 130}, {2, 40, 41, 65},
+               {0, 0, 700, 2},    {99, 0, 0, 3},    {1, 0, 700, 129}};
   for (const auto& c : calls) {
-    std::vector<data::SelectionVector> fresh;
+    SCOPED_TRACE(::testing::Message() << "field " << c.field << " rows ["
+                                      << c.begin << ", " << c.end << ") p "
+                                      << c.p);
+    kernels::Partitions fresh;
     kernels::Partition(b, c.begin, c.end, c.field, c.p, &fresh);
     kernels::Partition(b, c.begin, c.end, c.field, c.p, &reused);
-    EXPECT_EQ(reused, fresh) << "field " << c.field << " rows [" << c.begin
-                             << ", " << c.end << ") p " << c.p;
+    const auto expected = ScalarRouting(b, c.begin, c.end, c.field, c.p);
+    ExpectPartitions(fresh, expected);
+    ExpectPartitions(reused, expected);
+    EXPECT_EQ(reused.filled, fresh.filled);
   }
 }
 
 TEST(PartitionKernelTest, KeyBeyondArityRoutesEverythingToZero) {
   const data::Batch b = MixedBatch(16, 1);
-  std::vector<data::SelectionVector> parts;
+  kernels::Partitions parts;
   kernels::Partition(b, 0, b.NumRows(), 99, 4, &parts);
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0].size(), b.NumRows());
-  EXPECT_TRUE(parts[1].empty() && parts[2].empty() && parts[3].empty());
+  ASSERT_EQ(parts.buckets.size(), 4u);
+  EXPECT_EQ(parts.buckets[0].size(), b.NumRows());
+  EXPECT_TRUE(parts.buckets[1].empty() && parts.buckets[2].empty() &&
+              parts.buckets[3].empty());
+  EXPECT_EQ(parts.filled, std::vector<uint32_t>{0});
+  // No rows: nothing filled.
+  kernels::Partition(b, 3, 3, 99, 4, &parts);
+  EXPECT_TRUE(parts.filled.empty());
+  EXPECT_TRUE(parts.buckets[0].empty());
 }
 
 TEST(NumericColumnTest, MatchesValueAsNumeric) {

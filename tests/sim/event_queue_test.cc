@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -32,9 +33,13 @@ struct RefLater {
 };
 
 constexpr double kGrid = 0.25;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// A push time no earlier than `last`, the last popped time.
 double NextTime(Rng* rng, double last) {
+  // Rarely, a far-future time, whose key differs from any time the clock
+  // has reached in its top byte.
+  if (rng->Bernoulli(2e-4)) return rng->Bernoulli(0.5) ? 1e300 : kInf;
   switch (rng->UniformInt(0, 3)) {
     case 0:  // zero delay: a tie with the current time, -0.0 at the start
       return last == 0.0 && rng->Bernoulli(0.5) ? -0.0 : last;
@@ -55,6 +60,9 @@ struct Coverage {
   int64_t ties = 0;  // pushes whose time equals a queued event's
   int64_t zero_pushes = 0;
   int64_t negative_zero_pushes = 0;
+  int64_t far_pushes = 0;  // at 1e300
+  int64_t inf_pushes = 0;
+  int64_t top_byte_pushes = 0;  // keys differing from the clock's in byte 7
   int64_t drains = 0;  // times the queue was popped empty
   double min_positive = std::numeric_limits<double>::infinity();
   double max_time = 0.0;
@@ -99,6 +107,13 @@ void DriveAgainstReference(uint64_t seed, int64_t min_ops, Coverage* cov) {
         if (queued.count(t) != 0) ++cov->ties;
         if (t == 0.0) ++(std::signbit(t) ? cov->negative_zero_pushes
                                          : cov->zero_pushes);
+        if (t == 1e300) ++cov->far_pushes;
+        if (t == kInf) ++cov->inf_pushes;
+        if (((std::bit_cast<uint64_t>(t + 0.0) ^
+              std::bit_cast<uint64_t>(last + 0.0)) >>
+             56) != 0) {
+          ++cov->top_byte_pushes;
+        }
         if (t > 0.0) cov->min_positive = std::min(cov->min_positive, t);
         cov->max_time = std::max(cov->max_time, t);
         ++queued[t];
@@ -128,6 +143,9 @@ void ExpectMatchesReference(uint64_t seed) {
             0.3 * static_cast<double>(cov.pushes));
   EXPECT_GT(cov.zero_pushes, 0);
   EXPECT_GT(cov.negative_zero_pushes, 0);
+  EXPECT_GT(cov.far_pushes, 0);
+  EXPECT_GT(cov.inf_pushes, 0);
+  EXPECT_GT(cov.top_byte_pushes, 100);
   EXPECT_GT(cov.drains, 100);
   EXPECT_LT(cov.min_positive, 1e-8);
   EXPECT_GT(cov.max_time, 1e5);

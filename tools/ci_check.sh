@@ -99,7 +99,7 @@ if [ "${PDSP_SKIP_TSAN:-0}" != "1" ]; then
 fi
 
 if [ "${PDSP_SKIP_UBSAN:-0}" != "1" ]; then
-  step "AddressSanitizer + UBSan pass (analysis/sim/exec/property/runtime/data/apps suites)"
+  step "AddressSanitizer + UBSan pass (analysis/sim/exec/property/runtime/data/apps/common/obs suites)"
   # The dataflow analyses lean on floating-point interval arithmetic
   # (widening multiplications, infinity-valued fallbacks, rate/capacity
   # divisions), the simulator on integer event accounting, the keyed
@@ -110,7 +110,10 @@ if [ "${PDSP_SKIP_UBSAN:-0}" != "1" ]; then
   # is read by every delivery that names a row range of it while later
   # deliveries append to it (moving its columns), and is emptied, rebuilt
   # or returned to the pool after the last one, so a stale view into it is
-  # a use-after-free. GCC's -fsanitize=undefined leaves out
+  # a use-after-free. The common and obs suites hold the parsers of
+  # recorded input (flags, time-series CSV, ledgers, profiles) and the
+  # RNG's integer ranges, where an unchecked cell or a range wider than
+  # 2^63 is signed overflow. GCC's -fsanitize=undefined leaves out
   # float-cast-overflow (a double converted to an integer type it does not
   # fit, NaN included), so it is named on its own. Same separate-tree
   # rationale as the TSan block above.
@@ -119,9 +122,9 @@ if [ "${PDSP_SKIP_UBSAN:-0}" != "1" ]; then
         -DPDSP_SANITIZE="address;undefined;float-cast-overflow"
   cmake --build "$UBSAN_DIR" -j "$JOBS" \
         --target analysis_test sim_test exec_test property_test runtime_test \
-                 data_test apps_test
+                 data_test apps_test common_test obs_test
   for t in analysis_test sim_test exec_test property_test runtime_test \
-           data_test apps_test; do
+           data_test apps_test common_test obs_test; do
     echo "--- asan+ubsan: $t ---"
     UBSAN_OPTIONS=halt_on_error=1 "$UBSAN_DIR/tests/$t"
   done
